@@ -38,6 +38,7 @@ module Relevant = Exom_ddg.Relevant
 module Session = Exom_core.Session
 module Oracle = Exom_core.Oracle
 module Demand = Exom_core.Demand
+module Pipeline = Exom_core.Pipeline
 module B = Exom_bench.Bench_types
 module Runner = Exom_bench.Runner
 module Suite = Exom_bench.Suite
@@ -63,17 +64,18 @@ let write_file path content =
   Vfs.get_ok (Vfs.write_file_atomic ~tmp:(path ^ ".tmp") path content)
 
 let compile_file path =
-  try Ok (Typecheck.parse_and_check (read_file path)) with
-  | Loc.Error (loc, msg) ->
-    Error (Printf.sprintf "%s:%d:%d: %s" path (Loc.line loc) (Loc.col loc) msg)
-  | Failure msg -> Error (Printf.sprintf "%s: %s" path msg)
-  | Sys_error msg -> Error msg
+  match read_file path with
+  | exception Sys_error msg -> Error msg
+  | source -> Pipeline.compile ~name:path source
 
-let parse_ints s =
-  String.split_on_char ',' s
-  |> List.concat_map (String.split_on_char ' ')
-  |> List.filter (fun x -> String.trim x <> "")
-  |> List.map (fun x -> int_of_string (String.trim x))
+(* A command's fallible set-up steps in sequence: the first [Error] is
+   printed and the command exits 1. *)
+let ( let* ) r k =
+  match r with
+  | Ok v -> k v
+  | Error e ->
+    prerr_endline e;
+    1
 
 (* Common options *)
 
@@ -96,8 +98,8 @@ let text_arg =
 
 let resolve_input input text =
   match text with
-  | Some t -> B.input_of_string t
-  | None -> parse_ints input
+  | Some t -> Ok (B.input_of_string t)
+  | None -> Result.map_error (( ^ ) "exom: --input: ") (B.ints_of_string input)
 
 let output_index_arg =
   Arg.(
@@ -108,33 +110,30 @@ let output_index_arg =
 
 let run_cmd =
   let action file input text tracing dump_trace =
-    match compile_file file with
-    | Error e ->
-      prerr_endline e;
-      1
-    | Ok prog ->
-      let tracing = tracing || dump_trace <> None in
-      let run = Interp.run ~tracing prog ~input:(resolve_input input text) in
-      List.iter (fun (_, v) -> Printf.printf "%d\n" v) run.Interp.outputs;
-      (match (dump_trace, run.Interp.trace) with
-      | Some path, Some t ->
-        Exom_interp.Trace_io.save path t;
-        Printf.eprintf "trace written to %s\n" path
-      | _ -> ());
-      (match run.Interp.outcome with
-      | Ok () ->
-        (match run.Interp.trace with
-        | Some t ->
-          Printf.eprintf "(%d steps, %d trace instances)\n" run.Interp.steps
-            (Trace.length t)
-        | None -> Printf.eprintf "(%d steps)\n" run.Interp.steps);
-        0
-      | Error Interp.Budget_exhausted ->
-        prerr_endline "aborted: step budget exhausted";
-        2
-      | Error (Interp.Crashed msg) ->
-        Printf.eprintf "crashed: %s\n" msg;
-        2)
+    let* prog = compile_file file in
+    let* input = resolve_input input text in
+    let tracing = tracing || dump_trace <> None in
+    let run = Interp.run ~tracing prog ~input in
+    List.iter (fun (_, v) -> Printf.printf "%d\n" v) run.Interp.outputs;
+    (match (dump_trace, run.Interp.trace) with
+    | Some path, Some t ->
+      Exom_interp.Trace_io.save path t;
+      Printf.eprintf "trace written to %s\n" path
+    | _ -> ());
+    match run.Interp.outcome with
+    | Ok () ->
+      (match run.Interp.trace with
+      | Some t ->
+        Printf.eprintf "(%d steps, %d trace instances)\n" run.Interp.steps
+          (Trace.length t)
+      | None -> Printf.eprintf "(%d steps)\n" run.Interp.steps);
+      0
+    | Error Interp.Budget_exhausted ->
+      prerr_endline "aborted: step budget exhausted";
+      2
+    | Error (Interp.Crashed msg) ->
+      Printf.eprintf "crashed: %s\n" msg;
+      2
   in
   let tracing =
     Arg.(value & flag & info [ "trace" ] ~doc:"Collect an execution trace")
@@ -154,24 +153,20 @@ let run_cmd =
 
 let info_cmd =
   let action file =
-    match compile_file file with
-    | Error e ->
-      prerr_endline e;
-      1
-    | Ok prog ->
-      let info = Proginfo.build prog in
-      Printf.printf "functions:  %d\n" (List.length prog.Ast.funcs);
-      Printf.printf "globals:    %d\n" (List.length prog.Ast.globals);
-      Printf.printf "statements: %d\n" (Ast.stmt_count prog);
-      let preds = ref 0 in
-      Ast.iter_program (fun s -> if Ast.is_predicate s then incr preds) prog;
-      Printf.printf "predicates: %d\n" !preds;
-      List.iter
-        (fun fn ->
-          let cfg = Proginfo.cfg_of info (Some fn.Ast.fname) in
-          Printf.printf "cfg %-16s %3d nodes\n" fn.Ast.fname cfg.Exom_cfg.Cfg.nnodes)
-        prog.Ast.funcs;
-      0
+    let* prog = compile_file file in
+    let info = Proginfo.build prog in
+    Printf.printf "functions:  %d\n" (List.length prog.Ast.funcs);
+    Printf.printf "globals:    %d\n" (List.length prog.Ast.globals);
+    Printf.printf "statements: %d\n" (Ast.stmt_count prog);
+    let preds = ref 0 in
+    Ast.iter_program (fun s -> if Ast.is_predicate s then incr preds) prog;
+    Printf.printf "predicates: %d\n" !preds;
+    List.iter
+      (fun fn ->
+        let cfg = Proginfo.cfg_of info (Some fn.Ast.fname) in
+        Printf.printf "cfg %-16s %3d nodes\n" fn.Ast.fname cfg.Exom_cfg.Cfg.nnodes)
+      prog.Ast.funcs;
+    0
   in
   Cmd.v
     (Cmd.info "info" ~doc:"Front-end and static-analysis facts")
@@ -180,36 +175,33 @@ let info_cmd =
 (* slice / rslice *)
 
 let slice_common ~relevant file input text output_index =
-  match compile_file file with
-  | Error e ->
-    prerr_endline e;
+  let* prog = compile_file file in
+  let* input = resolve_input input text in
+  let run = Interp.run prog ~input in
+  let trace = Option.get run.Interp.trace in
+  match List.nth_opt run.Interp.outputs output_index with
+  | None ->
+    Printf.eprintf "program produced %d outputs; no output %d\n"
+      (List.length run.Interp.outputs) output_index;
     1
-  | Ok prog -> (
-    let run = Interp.run prog ~input:(resolve_input input text) in
-    let trace = Option.get run.Interp.trace in
-    match List.nth_opt run.Interp.outputs output_index with
-    | None ->
-      Printf.eprintf "program produced %d outputs; no output %d\n"
-        (List.length run.Interp.outputs) output_index;
-      1
-    | Some (criterion, value) ->
-      let info = Proginfo.build prog in
-      let slice =
-        if relevant then
-          Relevant.relevant_slice (Relevant.create info trace)
-            ~criteria:[ criterion ]
-        else Slice.compute trace ~criteria:[ criterion ]
-      in
-      Printf.printf "%s slice of output %d (value %d): %d statements, %d instances\n"
-        (if relevant then "relevant" else "dynamic")
-        output_index value (Slice.static_size slice) (Slice.dynamic_size slice);
-      List.iter
-        (fun sid ->
-          let stmt = Proginfo.stmt_of_sid info sid in
-          Printf.printf "  line %-4d %s\n" (Loc.line stmt.Ast.sloc)
-            (Exom_lang.Pretty.stmt_head stmt))
-        (Slice.sids slice);
-      0)
+  | Some (criterion, value) ->
+    let info = Proginfo.build prog in
+    let slice =
+      if relevant then
+        Relevant.relevant_slice (Relevant.create info trace)
+          ~criteria:[ criterion ]
+      else Slice.compute trace ~criteria:[ criterion ]
+    in
+    Printf.printf "%s slice of output %d (value %d): %d statements, %d instances\n"
+      (if relevant then "relevant" else "dynamic")
+      output_index value (Slice.static_size slice) (Slice.dynamic_size slice);
+    List.iter
+      (fun sid ->
+        let stmt = Proginfo.stmt_of_sid info sid in
+        Printf.printf "  line %-4d %s\n" (Loc.line stmt.Ast.sloc)
+          (Exom_lang.Pretty.stmt_head stmt))
+      (Slice.sids slice);
+    0
 
 let slice_cmd =
   let action file input text output_index =
@@ -278,10 +270,9 @@ let make_ledger ledger_out = Option.map (fun _ -> Ledger.create ()) ledger_out
 let write_ledger ledger ~ledger_out =
   match (ledger_out, ledger) with
   | Some path, Some l ->
-    (* detach the write-ahead journal first, then atomically replace it
-       with the canonical serialization (byte-identical at any -j;
-       resume markers and torn debris gone) *)
-    Ledger.close_journal l;
+    (* the pipeline has closed any write-ahead journal on [path]; the
+       canonical serialization replaces it atomically (byte-identical at
+       any -j; resume markers and torn debris gone) *)
     Ledger.write path l;
     Printf.eprintf "ledger written to %s\n" path
   | _ -> ()
@@ -328,14 +319,6 @@ let store_arg =
            read from and written to DIR (created if missing), keyed by \
            content hash of program, input, switch, budget and mode")
 
-let print_store_stats (st : Store.stats) =
-  Printf.printf
-    "store: %d mem + %d disk hits / %d misses (hit rate %.0f%%), %d writes, \
-     %d evictions, %d corrupted\n"
-    st.Store.hits st.Store.disk_hits st.Store.misses
-    (100.0 *. Store.hit_rate st)
-    st.Store.writes st.Store.evictions st.Store.corrupted
-
 let resilience_policy ~max_retries ~deadline ~breaker =
   match (max_retries, deadline, breaker) with
   | Some r, _, _ when r < 0 -> Error "exom: --max-retries must be >= 0"
@@ -361,184 +344,84 @@ let resilience_policy ~max_retries ~deadline ~breaker =
             breaker;
       }
 
-let print_robustness (report : Demand.report) =
-  let g = report.Demand.robustness in
-  Printf.printf
-    "robustness: %d re-executions (%d completed, %d aborted, %d retried), \
-     breaker trips %d (skips %d), deadline expirations %d, contained \
-     exceptions %d, quarantined %d\n"
-    report.Demand.verifications g.Guard.completed g.Guard.aborted
-    g.Guard.retried g.Guard.breaker_trips g.Guard.breaker_skips
-    g.Guard.deadline_expired g.Guard.captured g.Guard.quarantined;
-  (match report.Demand.degraded with
-  | Some reason -> Printf.printf "DEGRADED result: %s\n" reason
-  | None -> ());
-  List.iter
-    (fun (sid, f) ->
-      Printf.printf "  s%-4d %s\n" sid (Guard.failure_to_string f))
-    report.Demand.failures
-
 let locate_cmd =
   let action file correct_file input text root_line chaos_seed verify_deadline
       max_retries breaker jobs store_dir trace_out metrics_out ledger_out
       resume no_rank rank_model =
-    match (compile_file file, compile_file correct_file) with
-    | Error e, _ | _, Error e ->
-      prerr_endline e;
-      1
-    | Ok faulty, Ok correct -> (
-      match resilience_policy ~max_retries ~deadline:verify_deadline ~breaker with
-      | Error e ->
-        prerr_endline e;
-        1
-      | Ok policy -> (
-      (* The salvage read happens before the journal is re-attached to
-         the same path (attaching truncates). *)
-      match
-        match resume with
-        | None -> Ok None
+    let* faulty = compile_file file in
+    let* correct = compile_file correct_file in
+    let* policy =
+      resilience_policy ~max_retries ~deadline:verify_deadline ~breaker
+    in
+    (* The salvage read happens before the journal is re-attached to
+       the same path (attaching truncates). *)
+    let* resume_plan =
+      match resume with
+      | None -> Ok None
+      | Some path ->
+        Recover.plan_of_file path
+        |> Result.map Option.some
+        |> Result.map_error (Printf.sprintf "%s: %s" path)
+    in
+    let* input = resolve_input input text in
+    (* --resume implies journaling back to the same ledger path *)
+    let ledger_out = if ledger_out = None then resume else ledger_out in
+    let chaos = Option.map Chaos.of_seed chaos_seed in
+    Option.iter (Format.eprintf "%a@." Chaos.pp) chaos;
+    let pool = make_pool jobs in
+    let obs = make_obs ~trace_out in
+    let ledger = make_ledger ledger_out in
+    let store = Option.map (fun dir -> Store.create ~obs ~dir ()) store_dir in
+    let* prepared =
+      Pipeline.prepare ~obs ~policy ?chaos ?store ?ledger ~prog:faulty ~correct
+        ~input ()
+      |> Result.map_error Pipeline.setup_error_message
+    in
+    (* a bad model file degrades to the static verification order
+       with a diagnostic — it must never kill the localization *)
+    let config =
+      if no_rank then { Demand.default_config with ranking = None }
+      else
+        match rank_model with
+        | None -> Demand.default_config
         | Some path -> (
-          match Recover.plan_of_file path with
-          | Ok plan -> Ok (Some plan)
-          | Error e -> Error (Printf.sprintf "%s: %s" path e))
-      with
-      | Error e ->
-        prerr_endline e;
-        1
-      | Ok resume_plan -> (
-      (* --resume implies journaling back to the same ledger path *)
-      let ledger_out =
-        match (ledger_out, resume) with
-        | (Some _ as out), _ -> out
-        | None, (Some _ as out) -> out
-        | None, None -> None
-      in
-      let input = resolve_input input text in
-      let expected = Oracle.expected ~correct_prog:correct ~input in
-      let chaos = Option.map Chaos.of_seed chaos_seed in
-      (match chaos with
-      | Some c -> Format.eprintf "%a@." Chaos.pp c
-      | None -> ());
-      let pool = make_pool jobs in
-      let obs = make_obs ~trace_out in
-      let ledger = make_ledger ledger_out in
-      let store =
-        Option.map (fun dir -> Store.create ~obs ~dir ()) store_dir
-      in
-      match
-        Session.create ~obs ~policy ?chaos ?store ?ledger ~prog:faulty ~input
-          ~expected ~profile_inputs:[ input ] ()
-      with
-      | exception Session.No_failure ->
-        prerr_endline "the two programs agree on this input: nothing to locate";
-        1
-      | session ->
-        let info = session.Session.info in
-        let replayed =
-          match resume_plan with
-          | None -> None
-          | Some plan ->
-            if Recover.matches_session plan session then begin
-              Recover.prime session plan;
-              Some plan
-            end
-            else begin
-              Printf.eprintf
-                "resume: journal does not describe this program/input/budget; \
-                 starting cold\n";
-              None
-            end
-        in
-        (* journaled iterations: every event is written ahead to the
-           ledger path (flushed per event, fsynced per iteration), so a
-           kill leaves a resumable journal instead of nothing *)
-        (match (ledger, ledger_out) with
-        | Some l, Some path ->
-          Ledger.attach_journal l path;
-          (match replayed with
-          | Some plan ->
-            Ledger.resume_marker l ~replayed:plan.Recover.salvaged_events
-              ~truncated:plan.Recover.truncated
-          | None -> ())
-        | _ -> ());
-        let oracle =
-          Oracle.create ~faulty_trace:session.Session.trace
-            ~correct_prog:correct ~input
-        in
-        let root_sids =
-          match root_line with
-          | Some line ->
-            let sids = ref [] in
-            Ast.iter_program
-              (fun s -> if Loc.line s.Ast.sloc = line then sids := s.Ast.sid :: !sids)
-              faulty;
-            !sids
-          | None ->
-            (* no ground truth given: run to exhaustion and report *)
-            [ -1 ]
-        in
-        (* a bad model file degrades to the static verification order
-           with a diagnostic — it must never kill the localization *)
-        let config =
-          if no_rank then { Demand.default_config with ranking = None }
-          else
-            match rank_model with
-            | None -> Demand.default_config
-            | Some path -> (
-              match Rank.load_model path with
-              | Ok model ->
-                {
-                  Demand.default_config with
-                  ranking =
-                    Some { Rank.default_config with Rank.model = Some model };
-                }
-              | Error e ->
-                Printf.eprintf
-                  "rank model %s: %s; falling back to the static \
-                   verification order\n"
-                  path e;
-                { Demand.default_config with ranking = None })
-        in
-        let report = Demand.locate ~config ~pool session ~oracle ~root_sids in
-        write_obs obs ~trace_out ~metrics_out;
-        write_ledger ledger ~ledger_out;
-        (match replayed with
-        | Some plan ->
-          Printf.printf
-            "resume: %d batch(es) (%d verifications) replayed from the \
-             journal, %d in-flight event(s) re-verified live%s\n"
-            plan.Recover.replayed_batches plan.Recover.replayed_verifications
-            plan.Recover.dropped_events
-            (if plan.Recover.truncated then " (torn tail dropped)" else "")
-        | None -> ());
-        Printf.printf
-          "verifications: %d (of %d queries), iterations: %d, implicit \
-           edges: %d, user prunings: %d\n"
-          report.Demand.verifications report.Demand.verify_queries
-          report.Demand.iterations report.Demand.expanded_edges
-          report.Demand.user_prunings;
-        let sup = Pool.supervision pool in
-        Printf.printf "scheduler: %d job(s)%s\n" (Pool.jobs pool)
-          (if sup.Pool.degraded then
-             ", DEGRADED: respawn budget exhausted, draining inline"
-           else if sup.Pool.respawns > 0 then
-             Printf.sprintf ", %d worker(s) respawned" sup.Pool.respawns
-           else "");
-        print_store_stats report.Demand.store;
-        print_robustness report;
-        (match root_line with
-        | Some line ->
-          Printf.printf "root cause (line %d) %s\n" line
-            (if report.Demand.found then "LOCATED" else "not located")
-        | None -> ());
-        print_endline "final fault candidate set:";
-        List.iter
-          (fun sid ->
-            let stmt = Proginfo.stmt_of_sid info sid in
-            Printf.printf "  line %-4d %s\n" (Loc.line stmt.Ast.sloc)
-              (Exom_lang.Pretty.stmt_head stmt))
-          (Slice.sids report.Demand.ips);
-        0)))
+          match Rank.load_model path with
+          | Ok model ->
+            {
+              Demand.default_config with
+              ranking = Some { Rank.default_config with Rank.model = Some model };
+            }
+          | Error e ->
+            Printf.eprintf
+              "rank model %s: %s; falling back to the static verification \
+               order\n"
+              path e;
+            { Demand.default_config with ranking = None })
+    in
+    let report, resumed =
+      Pipeline.locate ~config ~pool ?journal:ledger_out ?resume:resume_plan
+        prepared
+        ~root_sids:(Pipeline.root_sids_of_line faulty root_line)
+    in
+    (match resumed with
+    | Pipeline.Replayed plan ->
+      Printf.printf
+        "resume: %d batch(es) (%d verifications) replayed from the journal, \
+         %d in-flight event(s) re-verified live%s\n"
+        plan.Recover.replayed_batches plan.Recover.replayed_verifications
+        plan.Recover.dropped_events
+        (if plan.Recover.truncated then " (torn tail dropped)" else "")
+    | Pipeline.Mismatched ->
+      prerr_endline
+        "resume: journal does not describe this program/input/budget; \
+         starting cold"
+    | Pipeline.Cold -> ());
+    write_obs obs ~trace_out ~metrics_out;
+    write_ledger ledger ~ledger_out;
+    print_string
+      (Pipeline.report_text ~pool prepared.Pipeline.session.Session.info report
+         ~root_line);
+    0
   in
   let correct_arg =
     Arg.(
@@ -724,12 +607,9 @@ let explain_cmd =
          confidence analysis — which needs --correct FILE";
       1
     | Some correct_file -> (
-    match (compile_file file, compile_file correct_file) with
-    | Error e, _ | _, Error e ->
-      prerr_endline e;
-      1
-    | Ok faulty, Ok correct -> (
-      let input = resolve_input input text in
+      let* faulty = compile_file file in
+      let* correct = compile_file correct_file in
+      let* input = resolve_input input text in
       let expected = Oracle.expected ~correct_prog:correct ~input in
       match
         Session.create ~prog:faulty ~input ~expected ~profile_inputs:[ input ]
@@ -791,7 +671,7 @@ let explain_cmd =
                 alt
             end)
           (Exom_conf.Prune.entries ps);
-        0)))
+        0))
   in
   let correct_arg =
     Arg.(
@@ -827,33 +707,30 @@ let explain_cmd =
 
 let dot_cmd =
   let action file input text output_index full =
-    match compile_file file with
-    | Error e ->
-      prerr_endline e;
+    let* prog = compile_file file in
+    let* input = resolve_input input text in
+    let run = Interp.run prog ~input in
+    let trace = Option.get run.Interp.trace in
+    let info = Proginfo.build prog in
+    let describe idx =
+      let inst = Exom_interp.Trace.get trace idx in
+      Printf.sprintf "L%d #%d = %s"
+        (Proginfo.line_of_sid info inst.Exom_interp.Trace.sid)
+        idx
+        (Exom_interp.Value.to_string inst.Exom_interp.Trace.value)
+    in
+    match List.nth_opt run.Interp.outputs output_index with
+    | None ->
+      Printf.eprintf "no output %d\n" output_index;
       1
-    | Ok prog -> (
-      let run = Interp.run prog ~input:(resolve_input input text) in
-      let trace = Option.get run.Interp.trace in
-      let info = Proginfo.build prog in
-      let describe idx =
-        let inst = Exom_interp.Trace.get trace idx in
-        Printf.sprintf "L%d #%d = %s"
-          (Proginfo.line_of_sid info inst.Exom_interp.Trace.sid)
-          idx
-          (Exom_interp.Value.to_string inst.Exom_interp.Trace.value)
+    | Some (criterion, _) ->
+      let slice =
+        if full then None
+        else Some (Slice.compute trace ~criteria:[ criterion ])
       in
-      match List.nth_opt run.Interp.outputs output_index with
-      | None ->
-        Printf.eprintf "no output %d\n" output_index;
-        1
-      | Some (criterion, _) ->
-        let slice =
-          if full then None
-          else Some (Slice.compute trace ~criteria:[ criterion ])
-        in
-        print_string
-          (Exom_ddg.Dot.render ?slice ~highlight:[ criterion ] ~describe trace);
-        0)
+      print_string
+        (Exom_ddg.Dot.render ?slice ~highlight:[ criterion ] ~describe trace);
+      0
   in
   let full =
     Arg.(
@@ -870,24 +747,21 @@ let dot_cmd =
 
 let regions_cmd =
   let action file input text by_line =
-    match compile_file file with
-    | Error e ->
-      prerr_endline e;
-      1
-    | Ok prog ->
-      let run = Interp.run prog ~input:(resolve_input input text) in
-      let trace = Option.get run.Interp.trace in
-      let reg = Exom_align.Region.build trace in
-      let info = Proginfo.build prog in
-      let label =
-        if by_line then
-          Some
-            (fun r idx ->
-              Proginfo.line_of_sid info (Exom_align.Region.sid r idx))
-        else None
-      in
-      print_endline (Exom_align.Region.render_forest ?label reg);
-      0
+    let* prog = compile_file file in
+    let* input = resolve_input input text in
+    let run = Interp.run prog ~input in
+    let trace = Option.get run.Interp.trace in
+    let reg = Exom_align.Region.build trace in
+    let info = Proginfo.build prog in
+    let label =
+      if by_line then
+        Some
+          (fun r idx ->
+            Proginfo.line_of_sid info (Exom_align.Region.sid r idx))
+      else None
+    in
+    print_endline (Exom_align.Region.render_forest ?label reg);
+    0
   in
   let by_line =
     Arg.(
@@ -1059,8 +933,7 @@ let bench_one name fid jobs store_dir trace_out metrics_out ledger_out export
           r.Runner.report.Demand.iterations
           r.Runner.report.Demand.expanded_edges
           (if r.Runner.report.Demand.found then "LOCATED" else "not located");
-        Printf.printf "  ";
-        print_store_stats r.Runner.report.Demand.store;
+        Printf.printf "  %s\n" (Pipeline.store_line r.Runner.report.Demand.store);
         let g = r.Runner.robustness in
         Printf.printf
           "  robustness: %d completed, %d aborted, %d retried, breaker \
@@ -1489,11 +1362,12 @@ let client_cmd =
           prerr_endline e;
           1
         | program, correct -> (
+          let* input = resolve_input input text in
           let locate =
             {
               Proto.lc_program = program;
               lc_correct = correct;
-              lc_input = resolve_input input text;
+              lc_input = input;
               lc_root_line = root_line;
               lc_deadline = deadline;
             }
@@ -1888,95 +1762,91 @@ let corpus_mine_cmd =
 let corpus_seed_cmd =
   let action file seed cls line input out =
     let source = read_file file in
-    match Typecheck.parse_and_check source with
-    | exception Loc.Error (loc, msg) ->
-      Printf.eprintf "%s:%d:%d: %s\n" file (Loc.line loc) (Loc.col loc) msg;
+    let* prog = Pipeline.compile ~name:file source in
+    let* input = resolve_input input None in
+    let cls =
+      Option.map
+        (fun c ->
+          match Seeder.class_of_string c with
+          | Some c -> c
+          | None -> failwith (Printf.sprintf "unknown fault class %S" c))
+        cls
+    in
+    let line_of_sid p sid =
+      let l = ref 0 in
+      Ast.iter_program
+        (fun st -> if st.Ast.sid = sid then l := Loc.line st.Ast.sloc)
+        p;
+      !l
+    in
+    let sites =
+      Seeder.sites prog
+      |> List.filter (fun (c, sid) ->
+             (match cls with Some cls -> c = cls | None -> true)
+             &&
+             match line with
+             | Some line -> line_of_sid prog sid = line
+             | None -> true)
+    in
+    let inputs =
+      if input = [] then
+        let st = Random.State.make [| 0x0fa1; seed |] in
+        List.init 6 (fun _ ->
+            List.init
+              (8 + Random.State.int st 9)
+              (fun _ -> Random.State.int st 101 - 50))
+      else [ input ]
+    in
+    let validated =
+      List.find_map
+        (fun (c, sid) ->
+          match Seeder.apply prog c sid with
+          | None -> None
+          | Some faulty ->
+            List.find_opt
+              (fun input -> Seeder.validates ~correct:prog ~faulty ~input)
+              inputs
+            |> Option.map (fun input -> (c, sid, faulty, input)))
+        sites
+    in
+    match validated with
+    | None ->
+      Printf.eprintf
+        "no validated omission fault at the requested sites (%d candidates)\n"
+        (List.length sites);
       1
-    | prog -> (
-      let cls =
-        Option.map
-          (fun c ->
-            match Seeder.class_of_string c with
-            | Some c -> c
-            | None -> failwith (Printf.sprintf "unknown fault class %S" c))
-          cls
-      in
-      let line_of_sid p sid =
-        let l = ref 0 in
-        Ast.iter_program
-          (fun st -> if st.Ast.sid = sid then l := Loc.line st.Ast.sloc)
-          p;
-        !l
-      in
-      let sites =
-        Seeder.sites prog
-        |> List.filter (fun (c, sid) ->
-               (match cls with Some cls -> c = cls | None -> true)
-               &&
-               match line with
-               | Some line -> line_of_sid prog sid = line
-               | None -> true)
-      in
-      let input = parse_ints input in
-      let inputs =
-        if input = [] then
-          let st = Random.State.make [| 0x0fa1; seed |] in
-          List.init 6 (fun _ ->
-              List.init
-                (8 + Random.State.int st 9)
-                (fun _ -> Random.State.int st 101 - 50))
-        else [ input ]
-      in
-      let validated =
-        List.find_map
-          (fun (c, sid) ->
-            match Seeder.apply prog c sid with
-            | None -> None
-            | Some faulty ->
-              List.find_opt
-                (fun input -> Seeder.validates ~correct:prog ~faulty ~input)
-                inputs
-              |> Option.map (fun input -> (c, sid, faulty, input)))
-          sites
-      in
-      match validated with
-      | None ->
-        Printf.eprintf
-          "no validated omission fault at the requested sites (%d candidates)\n"
-          (List.length sites);
-        1
-      | Some (c, sid, faulty, input) ->
-        (* the emitted faulty.mc is the pretty-printed mutant, so the
-           recorded root line must use its numbering, not the input
-           file's (sids survive the reparse: mutations preserve
-           statement order and count) *)
-        let line = line_of_sid faulty sid in
-        let faulty_src = Exom_lang.Pretty.program_to_string faulty in
-        (match out with
-        | Some dir ->
-          (try Unix.mkdir dir 0o755
-           with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-          write_file (Filename.concat dir "faulty.mc") faulty_src;
-          write_file (Filename.concat dir "correct.mc") source;
-          write_file
-            (Filename.concat dir "input.txt")
-            (String.concat " " (List.map string_of_int input) ^ "\n");
-          write_file
-            (Filename.concat dir "root_line.txt")
-            (string_of_int line ^ "\n");
-          write_file
-            (Filename.concat dir "fixtures.json")
-            (fixtures_manifest
-               [
-                 ( Filename.remove_extension (Filename.basename file),
-                   Seeder.class_to_string c, input, line );
-               ])
-        | None -> print_string faulty_src);
-        Printf.eprintf
-          "seeded %s at line %d (sid %d), failing input: %s\n"
-          (Seeder.class_to_string c) line sid
-          (String.concat "," (List.map string_of_int input));
-        0)
+    | Some (c, sid, faulty, input) ->
+      (* the emitted faulty.mc is the pretty-printed mutant, so the
+         recorded root line must use its numbering, not the input
+         file's (sids survive the reparse: mutations preserve
+         statement order and count) *)
+      let line = line_of_sid faulty sid in
+      let faulty_src = Exom_lang.Pretty.program_to_string faulty in
+      (match out with
+      | Some dir ->
+        (try Unix.mkdir dir 0o755
+         with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
+        write_file (Filename.concat dir "faulty.mc") faulty_src;
+        write_file (Filename.concat dir "correct.mc") source;
+        write_file
+          (Filename.concat dir "input.txt")
+          (String.concat " " (List.map string_of_int input) ^ "\n");
+        write_file
+          (Filename.concat dir "root_line.txt")
+          (string_of_int line ^ "\n");
+        write_file
+          (Filename.concat dir "fixtures.json")
+          (fixtures_manifest
+             [
+               ( Filename.remove_extension (Filename.basename file),
+                 Seeder.class_to_string c, input, line );
+             ])
+      | None -> print_string faulty_src);
+      Printf.eprintf
+        "seeded %s at line %d (sid %d), failing input: %s\n"
+        (Seeder.class_to_string c) line sid
+        (String.concat "," (List.map string_of_int input));
+      0
   in
   let seed_arg =
     Arg.(

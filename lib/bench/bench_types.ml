@@ -27,6 +27,23 @@ type t = {
 let input_of_string s =
   String.length s :: List.init (String.length s) (fun i -> Char.code s.[i])
 
+(* Integer input as typed on a command line: comma- or space-separated
+   tokens, empty tokens skipped; the first non-integer token is the
+   error. *)
+let ints_of_string s =
+  String.split_on_char ',' s
+  |> List.concat_map (String.split_on_char ' ')
+  |> List.map String.trim
+  |> List.filter (( <> ) "")
+  |> List.fold_left
+       (fun acc tok ->
+         match (acc, int_of_string_opt tok) with
+         | Ok ints, Some n -> Ok (n :: ints)
+         | Ok _, None -> Error (Printf.sprintf "%S is not an integer" tok)
+         | (Error _ as e), _ -> e)
+       (Ok [])
+  |> Result.map List.rev
+
 let find_substring hay needle =
   let nh = String.length hay and nn = String.length needle in
   if nn = 0 then invalid_arg "find_substring: empty needle";

@@ -23,6 +23,10 @@ type t = {
     benchmark programs. *)
 val input_of_string : string -> int list
 
+(** Comma- or space-separated integers (the CLI's [--input]); [Error]
+    names the first token that is not an integer. *)
+val ints_of_string : string -> (int list, string) result
+
 (** These raise [Invalid_argument] when the pattern is absent. *)
 val fault_line : t -> fault -> int
 

@@ -6,7 +6,7 @@ module Slice = Exom_ddg.Slice
 module Relevant = Exom_ddg.Relevant
 module Demand = Exom_core.Demand
 module Obs = Exom_obs.Obs
-module Oracle = Exom_core.Oracle
+module Pipeline = Exom_core.Pipeline
 module Session = Exom_core.Session
 
 (* Execute the full experiment for one seeded fault: run the failing
@@ -57,36 +57,35 @@ let run_fault ?obs ?config ?(budget = Interp.default_budget) ?policy ?chaos
   let faulty = Typecheck.parse_and_check faulty_src in
   let correct = Typecheck.parse_and_check bench.Bench_types.source in
   let input = fault.Bench_types.failing_input in
-  let expected = Oracle.expected ~correct_prog:correct ~input in
   (* Table 4: plain vs graph-constructing execution *)
-  let timer name f = Exom_obs.Obs.timed obs name f in
-  let seconds name =
-    Exom_obs.Metrics.timer_seconds (Exom_obs.Obs.metrics obs) name
-  in
+  let seconds name = Exom_obs.Metrics.timer_seconds (Obs.metrics obs) name in
   let plain0 = seconds "runner.plain_run" in
   let graph0 = seconds "runner.session_build" in
   let _ =
-    timer "runner.plain_run" (fun () ->
+    Obs.timed obs "runner.plain_run" (fun () ->
         Interp.run ~tracing:false ~budget faulty ~input)
   in
-  let session =
-    timer "runner.session_build" (fun () ->
-        Session.create ~obs ~budget ?policy ?chaos ?store ?ledger ~prog:faulty
-          ~input ~expected ~profile_inputs:bench.Bench_types.test_inputs ())
+  let prepared =
+    match
+      Pipeline.prepare ~obs ~budget ?policy ?chaos ?store ?ledger
+        ~session_timer:"runner.session_build"
+        ~profile_inputs:bench.Bench_types.test_inputs ~prog:faulty ~correct
+        ~input ()
+    with
+    | Ok p -> p
+    | Error Pipeline.No_failure -> raise Session.No_failure
+    | Error (Pipeline.Setup_failed msg) -> failwith msg
   in
+  let session = prepared.Pipeline.session in
   let plain_seconds = seconds "runner.plain_run" -. plain0 in
   let graph_seconds = seconds "runner.session_build" -. graph0 in
-  let oracle =
-    Oracle.create ~faulty_trace:session.Session.trace ~correct_prog:correct
-      ~input
-  in
   let root_sids = Bench_types.root_sids bench fault faulty in
   (* Table 2: the relevant slice of the wrong output *)
   let rs_slice =
     Relevant.relevant_slice session.Session.rel
       ~criteria:[ session.Session.wrong_output ]
   in
-  let report = Demand.locate ?config ?pool session ~oracle ~root_sids in
+  let report, _ = Pipeline.locate ?config ?pool prepared ~root_sids in
   let trace = session.Session.trace in
   let in_slice slice = List.exists (Slice.mem_sid slice) root_sids in
   {

@@ -6,8 +6,7 @@
 
 module Typecheck = Exom_lang.Typecheck
 module Demand = Exom_core.Demand
-module Oracle = Exom_core.Oracle
-module Session = Exom_core.Session
+module Pipeline = Exom_core.Pipeline
 module Recover = Exom_core.Recover
 module Guard = Exom_core.Guard
 module Slice = Exom_ddg.Slice
@@ -76,7 +75,6 @@ type fixture = {
   fx_faulty : Exom_lang.Ast.program;
   fx_correct : Exom_lang.Ast.program;
   fx_input : int list;
-  fx_expected : int list;
   fx_roots : int list;
 }
 
@@ -100,43 +98,35 @@ let fixture (name, fid) =
     fx_faulty = faulty;
     fx_correct = correct;
     fx_input = input;
-    fx_expected = Oracle.expected ~correct_prog:correct ~input;
     fx_roots = Bench_types.root_sids bench fault faulty;
   }
 
-(* One journaled localization, the way the runner and the daemon build
-   it.  Returns the canonical ledger, the report and the ledger's
-   absorbed journal-failure count. *)
+(* One journaled localization through the pipeline the CLI, daemon and
+   campaign run.  Returns the canonical ledger, the report and the
+   ledger's absorbed journal-failure count. *)
 let journaled_run ?plan ?store ?chaos ~jobs fx journal =
   let ledger = Ledger.create () in
-  let session =
-    Session.create ?chaos ?store ~ledger ~prog:fx.fx_faulty ~input:fx.fx_input
-      ~expected:fx.fx_expected ~profile_inputs:fx.fx_bench.Bench_types.test_inputs
-      ()
-  in
-  (match plan with
-  | None -> ()
-  | Some p ->
-    if not (Recover.matches_session p session) then
-      failwith "chaos: salvage plan does not match the session";
-    Recover.prime session p);
-  Ledger.attach_journal ledger journal;
-  (match plan with
-  | None -> ()
-  | Some p ->
-    Ledger.resume_marker ledger ~replayed:p.Recover.salvaged_events
-      ~truncated:p.Recover.truncated);
-  let oracle =
-    Oracle.create ~faulty_trace:session.Session.trace
-      ~correct_prog:fx.fx_correct ~input:fx.fx_input
+  let prepared =
+    match
+      Pipeline.prepare ?chaos ?store ~ledger
+        ~profile_inputs:fx.fx_bench.Bench_types.test_inputs ~prog:fx.fx_faulty
+        ~correct:fx.fx_correct ~input:fx.fx_input ()
+    with
+    | Ok p -> p
+    | Error e -> failwith ("chaos: " ^ Pipeline.setup_error_message e)
   in
   let pool = Pool.create ~jobs () in
-  let report =
+  let report, resumed =
     Fun.protect
       ~finally:(fun () -> Pool.shutdown pool)
-      (fun () -> Demand.locate ~pool session ~oracle ~root_sids:fx.fx_roots)
+      (fun () ->
+        Pipeline.locate ~pool ~journal ?resume:plan prepared
+          ~root_sids:fx.fx_roots)
   in
-  Ledger.close_journal ledger;
+  (match resumed with
+  | Pipeline.Mismatched ->
+    failwith "chaos: salvage plan does not match the session"
+  | Pipeline.Cold | Pipeline.Replayed _ -> ());
   (Ledger.to_string ledger, report, Ledger.io_failures ledger)
 
 let verdict (r : Demand.report) = (r.Demand.found, Slice.sids r.Demand.ips)

@@ -1,10 +1,6 @@
-module Ast = Exom_lang.Ast
-module Typecheck = Exom_lang.Typecheck
 module Json = Exom_obs.Json
-module Oracle = Exom_core.Oracle
-module Session = Exom_core.Session
 module Demand = Exom_core.Demand
-module Recover = Exom_core.Recover
+module Pipeline = Exom_core.Pipeline
 module Ledger = Exom_ledger.Ledger
 module Store = Exom_sched.Store
 module Pool = Exom_sched.Pool
@@ -394,56 +390,33 @@ let run_triple ?config ?pool ~dir triple =
     }
   in
   match
-    ( Typecheck.parse_and_check triple.t_faulty,
-      Typecheck.parse_and_check triple.t_correct )
+    ( Pipeline.compile ~name:"faulty" triple.t_faulty,
+      Pipeline.compile ~name:"correct" triple.t_correct )
   with
-  | exception _ -> row "error" []
-  | prog, correct -> (
-    let input = triple.t_input in
-    match Oracle.expected ~correct_prog:correct ~input with
-    | exception _ -> row "error" []
-    | expected -> (
-      let store = Store.create ~dir:(store_dir dir) () in
-      let ledger = Ledger.create () in
-      match
-        Session.create ~store ~ledger ~prog ~input ~expected
-          ~profile_inputs:[ input ] ()
-      with
-      | exception Session.No_failure -> row "no_failure" []
-      | exception _ -> row "error" []
-      | session ->
-        let lpath = Filename.concat (journals_dir dir) (triple.t_id ^ ".jsonl") in
-        let plan =
-          if Sys.file_exists lpath then
-            match Recover.plan_of_file lpath with
-            | Ok p when Recover.matches_session p session -> Some p
-            | Ok _ | Error _ -> None
-          else None
-        in
-        (match plan with Some p -> Recover.prime session p | None -> ());
-        Ledger.attach_journal ledger lpath;
-        (match plan with
-        | Some p ->
-          Ledger.resume_marker ledger ~replayed:p.Recover.salvaged_events
-            ~truncated:p.Recover.truncated
-        | None -> ());
-        let oracle =
-          Oracle.create ~faulty_trace:session.Session.trace
-            ~correct_prog:correct ~input
-        in
-        let report =
-          Demand.locate ?config ?pool session ~oracle
-            ~root_sids:triple.t_root_sids
-        in
-        Ledger.close_journal ledger;
-        (* the canonical ledger is a convenience next to the journal;
-           losing it costs a resume (the journal replays), not the row *)
-        (match Ledger.write_result lpath ledger with
-        | Ok () -> ()
-        | Error e -> note_io e);
-        row
-          (if report.Demand.found then "located" else "not_located")
-          (Serve.counts_of_report report)))
+  | Error _, _ | _, Error _ -> row "error" []
+  | Ok prog, Ok correct -> (
+    let store = Store.create ~dir:(store_dir dir) () in
+    let ledger = Ledger.create () in
+    match
+      Pipeline.prepare ~store ~ledger ~prog ~correct ~input:triple.t_input ()
+    with
+    | Error Pipeline.No_failure -> row "no_failure" []
+    | Error (Pipeline.Setup_failed _) -> row "error" []
+    | Ok prepared ->
+      let lpath = Filename.concat (journals_dir dir) (triple.t_id ^ ".jsonl") in
+      let report, _ =
+        Pipeline.locate ?config ?pool ~journal:lpath
+          ?resume:(Pipeline.journal_plan lpath) prepared
+          ~root_sids:triple.t_root_sids
+      in
+      (* the canonical ledger is a convenience next to the journal;
+         losing it costs a resume (the journal replays), not the row *)
+      (match Ledger.write_result lpath ledger with
+      | Ok () -> ()
+      | Error e -> note_io e);
+      row
+        (if report.Demand.found then "located" else "not_located")
+        (Serve.counts_of_report report))
 
 let run_triple_via ~socket triple =
   let req =

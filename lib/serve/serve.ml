@@ -28,15 +28,10 @@
    the daemon's metrics registry under serve.* only from the service
    loop and at drain, keeping the registry coordinator-only. *)
 
-module Typecheck = Exom_lang.Typecheck
-module Loc = Exom_lang.Loc
-module Ast = Exom_lang.Ast
-module Proginfo = Exom_cfg.Proginfo
-module Slice = Exom_ddg.Slice
 module Session = Exom_core.Session
-module Oracle = Exom_core.Oracle
 module Demand = Exom_core.Demand
 module Guard = Exom_core.Guard
+module Pipeline = Exom_core.Pipeline
 module Recover = Exom_core.Recover
 module Pool = Exom_sched.Pool
 module Store = Exom_sched.Store
@@ -240,43 +235,11 @@ let listener_loop st lfd =
 
 (* {2 Serving one request} *)
 
-let compile kind source =
-  try Ok (Typecheck.parse_and_check source) with
-  | Loc.Error (loc, msg) ->
-    Error
-      (Printf.sprintf "%s:%d:%d: %s" kind (Loc.line loc) (Loc.col loc) msg)
-  | Failure msg -> Error (Printf.sprintf "%s: %s" kind msg)
-
-(* The deterministic report text: exactly the locate lines that carry
-   no wall-clock and no scheduler state, so a client-side report can be
-   diffed against a single-process `exom locate` run. *)
-let report_text info (report : Demand.report) root_line =
-  let b = Buffer.create 256 in
-  Printf.bprintf b
-    "verifications: %d (of %d queries), iterations: %d, implicit edges: %d, \
-     user prunings: %d\n"
-    report.Demand.verifications report.Demand.verify_queries
-    report.Demand.iterations report.Demand.expanded_edges
-    report.Demand.user_prunings;
-  (match root_line with
-  | Some line ->
-    Printf.bprintf b "root cause (line %d) %s\n" line
-      (if report.Demand.found then "LOCATED" else "not located")
-  | None -> ());
-  Buffer.add_string b "final fault candidate set:\n";
-  List.iter
-    (fun sid ->
-      let stmt = Proginfo.stmt_of_sid info sid in
-      Printf.bprintf b "  line %-4d %s\n"
-        (Loc.line stmt.Ast.sloc)
-        (Exom_lang.Pretty.stmt_head stmt))
-    (Slice.sids report.Demand.ips);
-  Buffer.contents b
-
-(* The structured counterpart of [report_text]: every deterministic
-   counter of a locate report, keyed for machine consumers (the corpus
-   campaign runner builds its outcome rows from exactly these keys,
-   whether it ran in-process or through the daemon). *)
+(* The structured counterpart of [Pipeline.report_text]: every
+   deterministic counter of a locate report, keyed for machine
+   consumers (the corpus campaign runner builds its outcome rows from
+   exactly these keys, whether it ran in-process or through the
+   daemon). *)
 let counts_of_report (report : Demand.report) =
   let g = report.Demand.robustness and s = report.Demand.store in
   [
@@ -300,147 +263,119 @@ let counts_of_report (report : Demand.report) =
     ("degraded", if report.Demand.degraded = None then 0 else 1);
   ]
 
-let root_sids_of_line prog = function
-  | None -> [ -1 ]  (* no ground truth: run to exhaustion and report *)
-  | Some line ->
-    let sids = ref [] in
-    Ast.iter_program
-      (fun s -> if Loc.line s.Ast.sloc = line then sids := s.Ast.sid :: !sids)
-      prog;
-    !sids
-
 (* One localization, cold or resumed from its fingerprint journal.
    [attempt] drives the degraded-retry backoff. *)
 let rec locate_once st (l : Proto.locate) ~attempt =
-  match (compile "program" l.Proto.lc_program, compile "correct" l.Proto.lc_correct) with
+  match
+    ( Pipeline.compile ~name:"program" l.Proto.lc_program,
+      Pipeline.compile ~name:"correct" l.Proto.lc_correct )
+  with
   | Error e, _ | _, Error e -> Proto.Failed e
   | Ok prog, Ok correct -> (
-    let input = l.Proto.lc_input in
-    match Oracle.expected ~correct_prog:correct ~input with
-    | exception e ->
-      Proto.Failed ("correct program failed: " ^ Printexc.to_string e)
-    | expected -> (
-      let policy =
-        match l.Proto.lc_deadline with
-        | None -> Guard.default_policy
-        | Some d -> { Guard.default_policy with Guard.deadline = Some d }
+    let policy =
+      match l.Proto.lc_deadline with
+      | None -> Guard.default_policy
+      | Some d -> { Guard.default_policy with Guard.deadline = Some d }
+    in
+    (* per-request observability lane: forked on the coordinator,
+       absorbed after the request, so daemon metrics aggregate
+       deterministically while each request keeps its own registry.
+       Under [trace] the request gets a fresh tracing context instead
+       (a fork of the non-tracing daemon context could never record
+       spans); its metrics are still absorbed into the daemon's. *)
+    let req_obs =
+      if st.cfg.trace then Obs.create ~trace:true () else Obs.fork st.obs
+    in
+    let ledger = Ledger.create () in
+    let store =
+      Store.create ~obs:req_obs ~dir:(store_dir st) ~shards:st.cfg.shards
+        ~lease:st.cfg.lease ()
+    in
+    match
+      Pipeline.prepare ~obs:req_obs ~policy ~store ~ledger ~prog ~correct
+        ~input:l.Proto.lc_input ()
+    with
+    | Error e -> Proto.Failed (Pipeline.setup_error_message e)
+    | Ok prepared ->
+      let session = prepared.Pipeline.session in
+      (* The session fingerprint covers program/input/expected/budget;
+         the root line additionally shapes the search trajectory (the
+         search stops when it reaches the root set), so it is folded
+         into the journal key — requests differing only in root line
+         must not share a journal. *)
+      let fp =
+        let base = Session.fingerprint session in
+        match l.Proto.lc_root_line with
+        | None -> base
+        | Some line -> Printf.sprintf "%s-r%d" base line
       in
-      (* per-request observability lane: forked on the coordinator,
-         absorbed after the request, so daemon metrics aggregate
-         deterministically while each request keeps its own registry.
-         Under [trace] the request gets a fresh tracing context instead
-         (a fork of the non-tracing daemon context could never record
-         spans); its metrics are still absorbed into the daemon's. *)
-      let req_obs =
-        if st.cfg.trace then Obs.create ~trace:true () else Obs.fork st.obs
+      let lpath = ledger_path st fp in
+      let resume = Pipeline.journal_plan lpath in
+      (* the request's whole search runs under one serve.request span
+         keyed by the fingerprint, so an exported trace names the
+         request it belongs to on its own coordinator lane *)
+      let report, resumed =
+        Obs.with_span req_obs ~cat:"serve"
+          ~args:[ ("fingerprint", fp) ]
+          "serve.request"
+          (fun () ->
+            Pipeline.locate ~pool:st.pool ~journal:lpath ?resume prepared
+              ~root_sids:(Pipeline.root_sids_of_line prog l.Proto.lc_root_line))
       in
-      let ledger = Ledger.create () in
-      let store =
-        Store.create ~obs:req_obs ~dir:(store_dir st) ~shards:st.cfg.shards
-          ~lease:st.cfg.lease ()
+      let replayed =
+        match resumed with Pipeline.Replayed _ -> true | _ -> false
       in
-      match
-        Session.create ~obs:req_obs ~policy ~store ~ledger ~prog ~input
-          ~expected ~profile_inputs:[ input ] ()
-      with
-      | exception Session.No_failure ->
-        Proto.Failed "the two programs agree on this input: nothing to locate"
-      | exception e ->
-        Proto.Failed ("session setup failed: " ^ Printexc.to_string e)
-      | session ->
-        (* The session fingerprint covers program/input/expected/budget;
-           the root line additionally shapes the search trajectory (the
-           search stops when it reaches the root set), so it is folded
-           into the journal key — requests differing only in root line
-           must not share a journal. *)
-        let fp =
-          let base = Session.fingerprint session in
-          match l.Proto.lc_root_line with
-          | None -> base
-          | Some line -> Printf.sprintf "%s-r%d" base line
-        in
-        let lpath = ledger_path st fp in
-        let plan =
-          if Sys.file_exists lpath then
-            match Recover.plan_of_file lpath with
-            | Ok p when Recover.matches_session p session -> Some p
-            | Ok _ | Error _ -> None
-          else None
-        in
-        (match plan with
-        | Some p -> Recover.prime session p
-        | None -> ());
-        Ledger.attach_journal ledger lpath;
-        (match plan with
-        | Some p ->
-          Ledger.resume_marker ledger ~replayed:p.Recover.salvaged_events
-            ~truncated:p.Recover.truncated
-        | None -> ());
-        let oracle =
-          Oracle.create ~faulty_trace:session.Session.trace
-            ~correct_prog:correct ~input
-        in
-        let root_sids = root_sids_of_line prog l.Proto.lc_root_line in
-        (* the request's whole search runs under one serve.request
-           span keyed by the fingerprint, so an exported trace names
-           the request it belongs to on its own coordinator lane *)
-        let report =
-          Obs.with_span req_obs ~cat:"serve"
-            ~args:[ ("fingerprint", fp) ]
-            "serve.request"
-            (fun () -> Demand.locate ~pool:st.pool session ~oracle ~root_sids)
-        in
-        Ledger.close_journal ledger;
-        (* canonical-write failure degrades, never drops the answer:
-           the closed journal is complete, so resume still converges *)
-        (match Ledger.write_result lpath ledger with
-        | Ok () -> ()
+      (* canonical-write failure degrades, never drops the answer:
+         the closed journal is complete, so resume still converges *)
+      (match Ledger.write_result lpath ledger with
+      | Ok () -> ()
+      | Error e ->
+        Vfs.ack e ~by:"serve.io_failures";
+        Obs.incr st.obs "serve.io_failures");
+      if st.cfg.trace then begin
+        match Vfs.ensure_dir (traces_dir st) with
         | Error e ->
           Vfs.ack e ~by:"serve.io_failures";
-          Obs.incr st.obs "serve.io_failures");
-        if st.cfg.trace then begin
-          match Vfs.ensure_dir (traces_dir st) with
+          Obs.incr st.obs "serve.io_failures"
+        | Ok () -> (
+          match
+            write_file_atomic (trace_path st fp)
+              (Exom_obs.Json.to_string (Export.chrome_json req_obs) ^ "\n")
+          with
+          | Ok () -> ()
           | Error e ->
             Vfs.ack e ~by:"serve.io_failures";
-            Obs.incr st.obs "serve.io_failures"
-          | Ok () -> (
-            match
-              write_file_atomic (trace_path st fp)
-                (Exom_obs.Json.to_string (Export.chrome_json req_obs) ^ "\n")
-            with
-            | Ok () -> ()
-            | Error e ->
-              Vfs.ack e ~by:"serve.io_failures";
-              Obs.incr st.obs "serve.io_failures")
+            Obs.incr st.obs "serve.io_failures")
+      end;
+      Obs.absorb ~into:st.obs req_obs;
+      if report.Demand.degraded <> None && attempt < st.cfg.request_retries
+      then begin
+        (* transient worker kills degraded the run: back off and re-run
+           cold — replaying a degraded journal would only reproduce the
+           degradation *)
+        Atomic.incr st.counters.retries;
+        Obs.incr st.obs "serve.retries";
+        (try Sys.remove lpath with Sys_error _ -> ());
+        Unix.sleepf (0.05 *. float_of_int (1 lsl attempt));
+        locate_once st l ~attempt:(attempt + 1)
+      end
+      else begin
+        if replayed then begin
+          Atomic.incr st.counters.replayed;
+          Obs.incr st.obs "serve.replayed"
         end;
-        Obs.absorb ~into:st.obs req_obs;
-        if report.Demand.degraded <> None && attempt < st.cfg.request_retries
-        then begin
-          (* transient worker kills degraded the run: back off and
-             re-run cold — replaying a degraded journal would only
-             reproduce the degradation *)
-          Atomic.incr st.counters.retries;
-          Obs.incr st.obs "serve.retries";
-          (try Sys.remove lpath with Sys_error _ -> ());
-          Unix.sleepf (0.05 *. float_of_int (1 lsl attempt));
-          locate_once st l ~attempt:(attempt + 1)
-        end
-        else begin
-          if plan <> None then begin
-            Atomic.incr st.counters.replayed;
-            Obs.incr st.obs "serve.replayed"
-          end;
-          Proto.Served
-            {
-              Proto.sv_found = report.Demand.found;
-              sv_fingerprint = fp;
-              sv_ledger = lpath;
-              sv_replayed = plan <> None;
-              sv_report = report_text session.Session.info report
-                  l.Proto.lc_root_line;
-              sv_counts = counts_of_report report;
-            }
-        end))
+        Proto.Served
+          {
+            Proto.sv_found = report.Demand.found;
+            sv_fingerprint = fp;
+            sv_ledger = lpath;
+            sv_replayed = replayed;
+            sv_report =
+              Pipeline.report_text session.Session.info report
+                ~root_line:l.Proto.lc_root_line;
+            sv_counts = counts_of_report report;
+          }
+      end)
 
 let serve_one st item =
   let stale =

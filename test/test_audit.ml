@@ -8,8 +8,7 @@ module B = Exom_bench.Bench_types
 module Suite = Exom_bench.Suite
 module Typecheck = Exom_lang.Typecheck
 module Demand = Exom_core.Demand
-module Oracle = Exom_core.Oracle
-module Session = Exom_core.Session
+module Pipeline = Exom_core.Pipeline
 module Recover = Exom_core.Recover
 module Pool = Exom_sched.Pool
 module Obs = Exom_obs.Obs
@@ -69,37 +68,25 @@ let fixture =
      let fault = Option.get (Suite.find_fault bench "V2-F3") in
      let faulty = Typecheck.parse_and_check (B.faulty_source bench fault) in
      let correct = Typecheck.parse_and_check bench.B.source in
-     let input = fault.B.failing_input in
-     let expected = Oracle.expected ~correct_prog:correct ~input in
-     (bench, fault, faulty, correct, input, expected))
+     (bench, fault, faulty, correct))
 
-(* One traced + journaled localization, the way bin/exom runs it. *)
+(* One traced + journaled localization through the pipeline bin/exom
+   runs. *)
 let traced_run ?plan ~jobs journal_path =
-  let bench, _, faulty, correct, input, expected = Lazy.force fixture in
+  let bench, fault, faulty, correct = Lazy.force fixture in
   let obs = Obs.create ~trace:true () in
   let ledger = Ledger.create () in
-  let session =
-    Session.create ~obs ~ledger ~prog:faulty ~input ~expected
-      ~profile_inputs:bench.B.test_inputs ()
+  let prepared =
+    Result.get_ok
+      (Pipeline.prepare ~obs ~ledger ~profile_inputs:bench.B.test_inputs
+         ~prog:faulty ~correct ~input:fault.B.failing_input ())
   in
-  (match plan with
-  | None -> ()
-  | Some p -> Recover.prime session p);
-  Ledger.attach_journal ledger journal_path;
-  (match plan with
-  | None -> ()
-  | Some p ->
-    Ledger.resume_marker ledger ~replayed:p.Recover.salvaged_events
-      ~truncated:p.Recover.truncated);
-  let oracle =
-    Oracle.create ~faulty_trace:session.Session.trace ~correct_prog:correct
-      ~input
-  in
-  let root_sids = B.root_sids bench (let _, f, _, _, _, _ = Lazy.force fixture in f) faulty in
   let pool = Pool.create ~jobs () in
-  let report = Demand.locate ~pool session ~oracle ~root_sids in
+  let report, _ =
+    Pipeline.locate ~pool ~journal:journal_path ?resume:plan prepared
+      ~root_sids:(B.root_sids bench fault faulty)
+  in
   Pool.shutdown pool;
-  Ledger.close_journal ledger;
   (obs, report)
 
 let trace_file obs =

@@ -25,6 +25,19 @@ let test_input_encoding () =
   Alcotest.(check (list int)) "abc" [ 3; 97; 98; 99 ] (B.input_of_string "abc");
   Alcotest.(check (list int)) "empty" [ 0 ] (B.input_of_string "")
 
+let test_int_input_parsing () =
+  let ints = Alcotest.(result (list int) string) in
+  Alcotest.check ints "commas" (Ok [ 6; 10; 60 ]) (B.ints_of_string "6,10,60");
+  Alcotest.check ints "spaces and commas" (Ok [ 6; 10; 60; 30 ])
+    (B.ints_of_string " 6, 10  60,,30 ");
+  Alcotest.check ints "empty" (Ok []) (B.ints_of_string "");
+  Alcotest.check ints "blank" (Ok []) (B.ints_of_string " , ");
+  Alcotest.check ints "negative" (Ok [ -5; 3; -50 ]) (B.ints_of_string "-5, 3 -50");
+  Alcotest.check ints "bad token" (Error "\"x\" is not an integer")
+    (B.ints_of_string "6, x");
+  Alcotest.check ints "first bad token" (Error "\"x\" is not an integer")
+    (B.ints_of_string "6,,x,y")
+
 let test_fault_line_and_source () =
   let bench = find_bench "gzipsim" in
   let fault = find_fault bench "V2-F3" in
@@ -405,6 +418,7 @@ let () =
   Alcotest.run "bench"
     [ ( "infrastructure",
         [ tc "input encoding" test_input_encoding;
+          tc "integer input parsing" test_int_input_parsing;
           tc "fault line and source" test_fault_line_and_source;
           tc "root sids" test_root_sids;
           tc "unknown pattern" test_unknown_pattern_rejected;

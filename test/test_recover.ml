@@ -1,6 +1,6 @@
 (* Crash determinism: a journaled localization killed at an iteration
    boundary, mid-batch, or mid-line resumes — via Recover.plan_of_file
-   and Session replay priming — to a final ledger byte-identical to the
+   and the pipeline's replay priming — to a final ledger byte-identical to the
    uninterrupted run's, at -j1 and -j4 alike, re-verifying only the
    work the killed run never checkpointed. *)
 
@@ -8,8 +8,7 @@ module B = Exom_bench.Bench_types
 module Suite = Exom_bench.Suite
 module Typecheck = Exom_lang.Typecheck
 module Demand = Exom_core.Demand
-module Oracle = Exom_core.Oracle
-module Session = Exom_core.Session
+module Pipeline = Exom_core.Pipeline
 module Recover = Exom_core.Recover
 module Slice = Exom_ddg.Slice
 module Pool = Exom_sched.Pool
@@ -50,51 +49,50 @@ let write_file path content =
   close_out oc
 
 (* The fixture: gzipsim V2-F3, the suite's journal-heaviest locate with
-   switched-run dedup.  Build everything a localization session needs,
-   the way the runner does. *)
+   switched-run dedup. *)
 let fixture =
   lazy
     (let bench = Option.get (Suite.find "gzipsim") in
      let fault = Option.get (Suite.find_fault bench "V2-F3") in
      let faulty = Typecheck.parse_and_check (B.faulty_source bench fault) in
      let correct = Typecheck.parse_and_check bench.B.source in
-     let input = fault.B.failing_input in
-     let expected = Oracle.expected ~correct_prog:correct ~input in
-     (bench, fault, faulty, correct, input, expected))
+     (bench, fault, faulty, correct))
 
-(* One localization with a write-ahead journal at [path].  With [plan],
-   the session is primed to replay it (the real --resume flow: match
-   the journal against the session, prime, mark the new journal as a
-   resumed continuation). *)
-let journaled_run ?obs ?plan ~jobs path =
-  let bench, fault, faulty, correct, input, expected = Lazy.force fixture in
+(* One localization of [bench]/[fault] through the production pipeline,
+   journaled at [path]; with [plan], the pipeline is asked to resume it
+   (the real --resume flow: match the journal against the session,
+   prime, mark the new journal as a resumed continuation).  Returns the
+   canonical ledger, the report and what became of the plan. *)
+let pipeline_run ?obs ?plan ~jobs (bench, fault, faulty, correct) path =
   let ledger = Ledger.create () in
-  let session =
-    Session.create ?obs ~ledger ~prog:faulty ~input ~expected
-      ~profile_inputs:bench.B.test_inputs ()
+  let prepared =
+    match
+      Pipeline.prepare ?obs ~ledger ~profile_inputs:bench.B.test_inputs
+        ~prog:faulty ~correct ~input:fault.B.failing_input ()
+    with
+    | Ok p -> p
+    | Error e -> Alcotest.fail (Pipeline.setup_error_message e)
   in
-  (match plan with
-  | None -> ()
-  | Some p ->
-    Alcotest.(check bool) "plan matches the session" true
-      (Recover.matches_session p session);
-    Recover.prime session p);
-  Ledger.attach_journal ledger path;
-  (match plan with
-  | None -> ()
-  | Some p ->
-    Ledger.resume_marker ledger ~replayed:p.Recover.salvaged_events
-      ~truncated:p.Recover.truncated);
-  let oracle =
-    Oracle.create ~faulty_trace:session.Session.trace ~correct_prog:correct
-      ~input
-  in
-  let root_sids = B.root_sids bench fault faulty in
   let pool = Pool.create ~jobs () in
-  let report = Demand.locate ~pool session ~oracle ~root_sids in
-  Pool.shutdown pool;
-  Ledger.close_journal ledger;
-  (Ledger.to_string ledger, report)
+  let report, resumed =
+    Fun.protect
+      ~finally:(fun () -> Pool.shutdown pool)
+      (fun () ->
+        Pipeline.locate ~pool ~journal:path ?resume:plan prepared
+          ~root_sids:(B.root_sids bench fault faulty))
+  in
+  (Ledger.to_string ledger, report, resumed)
+
+(* The fixture's run; a given plan must be replayed. *)
+let journaled_run ?obs ?plan ~jobs path =
+  let ledger, report, resumed =
+    pipeline_run ?obs ?plan ~jobs (Lazy.force fixture) path
+  in
+  Alcotest.(check bool) "plan matches the session" true
+    (match (plan, resumed) with
+    | Some _, Pipeline.Replayed _ | None, Pipeline.Cold -> true
+    | _ -> false);
+  (ledger, report)
 
 (* Everything a resumed run must reproduce — including the robustness
    accounting and cumulative run counts restored from the checkpoint. *)
@@ -450,25 +448,41 @@ let test_kill_chain_spine () =
          <> []))
     [ 1; 4 ]
 
+let other_fixture () =
+  let bench = Option.get (Suite.find "sedsim") in
+  let fault = Option.get (Suite.find_fault bench "V3-F2") in
+  ( bench,
+    fault,
+    Typecheck.parse_and_check (B.faulty_source bench fault),
+    Typecheck.parse_and_check bench.B.source )
+
 let test_foreign_journal_rejected () =
-  (* a journal from a different program/input must not prime a session *)
-  let other_bench = Option.get (Suite.find "sedsim") in
-  let other_fault = Option.get (Suite.find_fault other_bench "V3-F2") in
-  let other_prog =
-    Typecheck.parse_and_check (B.faulty_source other_bench other_fault)
+  (* a journal from a different program/input must not prime a
+     session: the run starts cold and its ledger is a fresh run's *)
+  let other = other_fixture () in
+  let fresh, _, _ = pipeline_run ~jobs:1 other (fresh_path ()) in
+  let cold, _, resumed =
+    pipeline_run ~plan:(baseline_plan ()) ~jobs:1 other (fresh_path ())
   in
-  let other_input = other_fault.B.failing_input in
-  let other_correct = Typecheck.parse_and_check other_bench.B.source in
-  let other_expected =
-    Oracle.expected ~correct_prog:other_correct ~input:other_input
+  Alcotest.(check bool) "foreign plan comes back mismatched" true
+    (resumed = Pipeline.Mismatched);
+  Alcotest.(check string) "cold ledger byte-identical to a fresh run's" fresh
+    cold
+
+let test_absent_journal_cold () =
+  let path = fresh_path () in
+  Alcotest.(check bool) "no journal, no plan" true
+    (Pipeline.journal_plan path = None);
+  let _, _, resumed =
+    pipeline_run ?plan:(Pipeline.journal_plan path) ~jobs:1
+      (Lazy.force fixture) path
   in
-  let other_session =
-    Session.create ~prog:other_prog ~input:other_input
-      ~expected:other_expected ~profile_inputs:other_bench.B.test_inputs ()
-  in
-  let plan = baseline_plan () in
-  Alcotest.(check bool) "foreign session rejected" false
-    (Recover.matches_session plan other_session)
+  Alcotest.(check bool) "absent journal runs cold" true
+    (resumed = Pipeline.Cold);
+  Alcotest.(check bool) "the run left a complete journal" true
+    (match Pipeline.journal_plan path with
+    | Some p -> p.Recover.complete
+    | None -> false)
 
 let test_describe () =
   let plan = baseline_plan () in
@@ -501,6 +515,8 @@ let () =
                 test_kill_chain_spine;
               Alcotest.test_case "foreign journal rejected" `Quick
                 test_foreign_journal_rejected;
+              Alcotest.test_case "absent journal is cold" `Quick
+                test_absent_journal_cold;
               Alcotest.test_case "salvage description" `Quick test_describe;
             ] );
         ])
