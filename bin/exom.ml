@@ -11,11 +11,11 @@
      recover inspect a killed run's journaled ledger (what --resume replays)
      dot     Graphviz rendering of the dynamic dependence graph
      regions the execution's region decomposition (Definition 3)
-     bench   run one benchmark fault (or, with --all, the whole suite,
-             optionally appending a perf snapshot to a history file;
+     bench   run one benchmark fault (or, with --all, the whole suite:
+             the paper's tables and a count-only perf snapshot;
              --export writes the fault's sources/input for exom client)
-     regress compare two bench snapshots and flag metric regressions
-     stats   pretty-print (or --diff) --metrics-out event logs
+     regress gate a perf snapshot against a baseline (Metrics.drift)
+     stats   pretty-print one --metrics-out event log, or diff two
      serve   localization daemon over a Unix-domain socket (crash-safe:
              accepted requests survive SIGKILL; --resume replays them)
      client  send one localization request to a daemon (--stress N for
@@ -228,6 +228,7 @@ module Chaos = Exom_interp.Chaos
 module Pool = Exom_sched.Pool
 module Store = Exom_sched.Store
 module Obs = Exom_obs.Obs
+module Metrics = Exom_obs.Metrics
 module Export = Exom_obs.Export
 module Json = Exom_obs.Json
 
@@ -775,62 +776,34 @@ let regions_cmd =
 
 (* bench *)
 
-let default_label () =
-  let tm = Unix.localtime (Unix.time ()) in
-  Printf.sprintf "%04d-%02d-%02d" (tm.Unix.tm_year + 1900) (tm.Unix.tm_mon + 1)
-    tm.Unix.tm_mday
-
-let bench_suite jobs json_out history label corpus_count no_rank =
-  let jobs =
-    match jobs with Some j -> j | None -> Pool.default_jobs ()
-  in
-  let label = match label with Some l -> l | None -> default_label () in
+let bench_suite jobs corpus_count no_rank metrics_out =
+  let jobs = match jobs with Some j -> j | None -> Pool.default_jobs () in
   let config =
     if no_rank then Some { Demand.default_config with Demand.ranking = None }
     else None
   in
-  let s = Perf.run_suite ?config ~jobs ~label ?corpus_count () in
-  Printf.printf "suite %s (%d job(s)): %d/%d located\n" s.Perf.label s.Perf.jobs
-    s.Perf.located s.Perf.total;
-  List.iter
-    (fun r ->
-      Printf.printf
-        "  %-8s %-6s %s  verifications %d (of %d queries), iterations %d, \
-         edges %d, prunings %d\n"
-        r.Perf.r_bench r.Perf.r_fault
-        (if r.Perf.r_found then "LOCATED    " else "not located")
-        r.Perf.r_verifications r.Perf.r_queries r.Perf.r_iterations
-        r.Perf.r_edges r.Perf.r_prunings)
-    s.Perf.rows;
+  let s = Perf.run_suite ?config ~jobs ?corpus_count () in
+  Exom_bench.Tables.print s.Perf.results;
+  let v = Metrics.counter_value s.Perf.metrics in
   Printf.printf
-    "  totals: %d switched runs (%.3fs), %d interpreter runs, store hit rate \
-     %.0f%%, wall %.3fs\n"
-    s.Perf.verify_runs s.Perf.verify_seconds s.Perf.interp_runs
-    (100.0 *. s.Perf.store_hit_rate)
-    s.Perf.wall_seconds;
-  Printf.printf
-    "  warm store: hit rate %.0f%%, %d switched run(s) still dispatched\n"
-    (100.0 *. s.Perf.warm_hit_rate)
-    s.Perf.warm_verify_runs;
-  (match s.Perf.corpus with
-  | Some c ->
+    "suite (%d job(s)): %d/%d located, %d switched runs, %d interpreter \
+     runs, %d queries\n"
+    jobs (v "suite.found") (List.length s.Perf.results)
+    (v "suite.verifications") (v "suite.interp_runs") (v "suite.queries");
+  Printf.printf "warm store: %d/%d hits, %d switched run(s) dispatched\n"
+    (v "warm.hits") (v "warm.queries") (v "warm.switched_runs");
+  if corpus_count <> None then
     Printf.printf
-      "  corpus (seed %d): %d/%d located, %d failed, mean iterations %.2f, \
-       mean verifications %.2f, wall %.3fs\n"
-      c.Perf.c_seed c.Perf.c_located c.Perf.c_total c.Perf.c_failed
-      c.Perf.c_mean_iterations c.Perf.c_mean_verifications
-      c.Perf.c_wall_seconds
-  | None -> ());
-  (match json_out with
-  | Some path ->
-    Perf.write path s;
-    Printf.eprintf "snapshot written to %s\n" path
-  | None -> ());
-  (match history with
-  | Some path ->
-    Perf.append_history path s;
-    Printf.eprintf "snapshot appended to %s\n" path
-  | None -> ());
+      "corpus (seed %d x %d): %d/%d located, %d failed, %d iterations, %d \
+       verifications\n"
+      (v "corpus.seed") (v "corpus.count") (v "corpus.located")
+      (v "corpus.total") (v "corpus.failed") (v "corpus.iterations")
+      (v "corpus.verifications");
+  Option.iter
+    (fun path ->
+      Vfs.get_ok (Export.write_metrics path s.Perf.metrics);
+      Printf.eprintf "snapshot written to %s\n" path)
+    metrics_out;
   0
 
 (* --export: materialize one fault as files so external drivers (the
@@ -945,16 +918,30 @@ let bench_one name fid jobs store_dir trace_out metrics_out ledger_out export
 
 let bench_cmd =
   let action name fid all jobs store_dir trace_out metrics_out ledger_out
-      json_out history label export corpus_count no_rank =
-    if all then bench_suite jobs json_out history label corpus_count no_rank
-    else
-      match (name, fid) with
-      | Some name, Some fid ->
-        bench_one name fid jobs store_dir trace_out metrics_out ledger_out
-          export no_rank
-      | _ ->
-        prerr_endline "exom bench: need BENCH FAULT (or --all for the suite)";
-        1
+      export corpus_count no_rank =
+    (* a flag outside its mode is refused, never silently dropped *)
+    let stray =
+      List.find_map
+        (fun (flag, given) -> if given then Some flag else None)
+        (if all then
+           [ ("--trace-out", trace_out <> None);
+             ("--ledger-out", ledger_out <> None);
+             ("--store", store_dir <> None);
+             ("--export", export <> None) ]
+         else [ ("--corpus", corpus_count <> None) ])
+    in
+    match (stray, name, fid) with
+    | Some flag, _, _ ->
+      Printf.eprintf "exom bench: %s cannot be used %s --all\n" flag
+        (if all then "with" else "without");
+      1
+    | None, _, _ when all -> bench_suite jobs corpus_count no_rank metrics_out
+    | None, Some name, Some fid ->
+      bench_one name fid jobs store_dir trace_out metrics_out ledger_out export
+        no_rank
+    | None, _, _ ->
+      prerr_endline "exom bench: need BENCH FAULT (or --all for the suite)";
+      1
   in
   let name_arg =
     Arg.(
@@ -970,30 +957,11 @@ let bench_cmd =
     Arg.(
       value & flag
       & info [ "all" ]
-          ~doc:"Run the whole suite and reduce it to a perf snapshot")
-  in
-  let json_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"FILE"
-          ~doc:"With --all: write the snapshot as a single-line JSON file")
-  in
-  let history_arg =
-    Arg.(
-      value
-      & opt ~vopt:(Some "BENCH_history.jsonl") (some string) None
-      & info [ "history" ] ~docv:"FILE"
           ~doc:
-            "With --all: append the snapshot to a history JSONL file \
-             (default $(b,BENCH_history.jsonl))")
-  in
-  let label_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "label" ] ~docv:"TAG"
-          ~doc:"Snapshot label (default: today's date)")
+            "Run the whole suite: print the paper's Tables 1-4, the \
+             robustness table and Ablations A-D, and reduce the run to a \
+             count-only perf snapshot, which $(b,--metrics-out) writes for \
+             $(b,exom regress)")
   in
   let export_arg =
     Arg.(
@@ -1013,17 +981,15 @@ let bench_cmd =
       & info [ "corpus" ] ~docv:"N"
           ~doc:
             "With --all: also run a fixed-seed N-triple generated-corpus \
-             campaign and record it as the snapshot's corpus leg \
-             (schema v3)")
+             campaign and record it as the snapshot's corpus leg")
   in
   let no_rank_arg =
     Arg.(
       value & flag
       & info [ "no-rank" ]
           ~doc:
-            "With --all: run the suite (and corpus leg) under the static \
-             verification order instead of evidence-driven ranking — the \
-             control snapshot for the rank gate")
+            "Run under the static verification order instead of \
+             evidence-driven ranking")
   in
   Cmd.v
     (Cmd.info "bench"
@@ -1032,126 +998,86 @@ let bench_cmd =
           suite with --all")
     Term.(
       const action $ name_arg $ fid_arg $ all_arg $ jobs_arg $ store_arg
-      $ trace_out_arg $ metrics_out_arg $ ledger_out_arg $ json_arg
-      $ history_arg $ label_arg $ export_arg $ corpus_arg $ no_rank_arg)
+      $ trace_out_arg $ metrics_out_arg $ ledger_out_arg $ export_arg
+      $ corpus_arg $ no_rank_arg)
+
+(* A --metrics-out event log or perf snapshot as a registry, with the
+   torn final line the reader dropped, if any. *)
+let read_metrics file =
+  match read_file file with
+  | exception Sys_error e -> Error e
+  | content ->
+    Result.map_error
+      (Printf.sprintf "%s: %s" file)
+      (Export.metrics_of_jsonl content)
 
 (* regress *)
 
 let regress_cmd =
-  let action old_file new_file tolerance time_tolerance check =
-    match (Perf.load old_file, Perf.load new_file) with
-    | Error e, _ ->
-      Printf.eprintf "%s: %s\n" old_file e;
-      1
-    | _, Error e ->
-      Printf.eprintf "%s: %s\n" new_file e;
-      1
-    | Ok old_s, Ok new_s ->
-      Printf.printf "old: %s (%d job(s), %d/%d located)\n" old_s.Perf.label
-        old_s.Perf.jobs old_s.Perf.located old_s.Perf.total;
-      Printf.printf "new: %s (%d job(s), %d/%d located)\n" new_s.Perf.label
-        new_s.Perf.jobs new_s.Perf.located new_s.Perf.total;
-      let findings = Perf.compare ~tolerance ~time_tolerance old_s new_s in
-      print_string (Perf.render findings);
-      if check && Perf.has_regression findings then 1 else 0
+  (* a snapshot is written whole, so a torn one is refused, not salvaged *)
+  let load file =
+    match read_metrics file with
+    | Ok (reg, None) -> Ok reg
+    | Ok (_, Some { Export.torn_line; _ }) ->
+      Error
+        (Printf.sprintf
+           "%s: torn record at line %d (a snapshot is not salvaged)" file
+           torn_line)
+    | Error e -> Error e
   in
-  let old_arg =
-    Arg.(
-      required
-      & pos 0 (some file) None
-      & info [] ~docv:"OLD" ~doc:"Baseline snapshot (file or history JSONL)")
+  let action old_file new_file check =
+    let* older = load old_file in
+    let* newer = load new_file in
+    let findings = Metrics.drift ~direction_of:Perf.direction older newer in
+    print_string (Metrics.render_drift findings);
+    if check && Metrics.has_drift findings then 1 else 0
   in
-  let new_arg =
-    Arg.(
-      required
-      & pos 1 (some file) None
-      & info [] ~docv:"NEW" ~doc:"Candidate snapshot (file or history JSONL)")
-  in
-  let tolerance_arg =
-    Arg.(
-      value & opt float 0.1
-      & info [ "tolerance" ] ~docv:"REL"
-          ~doc:"Relative tolerance for deterministic counts (0.1 = 10%)")
-  in
-  let time_tolerance_arg =
-    Arg.(
-      value & opt float 0.5
-      & info [ "time-tolerance" ] ~docv:"REL"
-          ~doc:"Relative tolerance for wall-clock figures")
+  let snapshot_arg n docv doc =
+    Arg.(required & pos n (some file) None & info [] ~docv ~doc)
   in
   let check_arg =
     Arg.(
       value & flag
-      & info [ "check" ] ~doc:"Exit non-zero if any regression is flagged")
+      & info [ "check" ] ~doc:"Exit non-zero if any counter drifted")
   in
   Cmd.v
     (Cmd.info "regress"
        ~doc:
-         "Compare two perf snapshots from $(b,exom bench --all) and flag \
-          metric movements beyond tolerance")
+         "Compare two perf snapshots from $(b,exom bench --all \
+          --metrics-out): a count that grows, or a found, located or hits \
+          count that falls, drifts; so does another corpus seed or count")
     Term.(
-      const action $ old_arg $ new_arg $ tolerance_arg $ time_tolerance_arg
+      const action
+      $ snapshot_arg 0 "OLD" "Baseline snapshot"
+      $ snapshot_arg 1 "NEW" "Candidate snapshot"
       $ check_arg)
 
 (* stats *)
 
 let stats_cmd =
-  let load_metrics file =
-    match read_file file with
-    | exception Sys_error e -> Error e
-    | content -> (
-      match Export.metrics_of_jsonl content with
-      | Error e -> Error (Printf.sprintf "%s: %s" file e)
-      | Ok (reg, salvaged) ->
-        (match salvaged with
-        | Some { Export.torn_line; torn_byte } ->
+  let load file =
+    match read_metrics file with
+    | Ok (reg, salvaged) ->
+      Option.iter
+        (fun { Export.torn_line; torn_byte } ->
           Printf.eprintf
             "%s: torn record at line %d (byte %d) dropped (salvaged)\n" file
-            torn_line torn_byte
-        | None -> ());
-        Ok reg)
+            torn_line torn_byte)
+        salvaged;
+      Ok reg
+    | Error e -> Error e
   in
-  let action file file2 diff no_timings tolerance =
-    match (load_metrics file, file2) with
-    | Error e, _ ->
-      prerr_endline e;
-      1
-    | Ok reg, None ->
-      if diff then begin
-        prerr_endline "exom stats: --diff needs a second FILE";
-        1
-      end
-      else begin
-        print_string (Exom_obs.Metrics.render ~timings:(not no_timings) reg);
-        0
-      end
-    | Ok reg, Some file2 -> (
-      match load_metrics file2 with
-      | Error e ->
-        prerr_endline e;
-        1
-      | Ok reg2 -> (
-        print_string
-          (Exom_obs.Metrics.render_diff ~timings:(not no_timings) reg reg2);
-        (* --tolerance turns the diff into a gate: exit 1 when any
-           deterministic scalar moved beyond it *)
-        match tolerance with
-        | None -> 0
-        | Some tolerance ->
-          let findings = Exom_obs.Metrics.drift ~tolerance reg reg2 in
-          let breaches =
-            List.filter
-              (fun f -> f.Exom_obs.Metrics.d_breach)
-              findings
-          in
-          if breaches = [] then 0
-          else begin
-            print_string (Exom_obs.Metrics.render_drift breaches);
-            Printf.eprintf
-              "exom stats: %d metric(s) drifted beyond tolerance %.2f\n"
-              (List.length breaches) tolerance;
-            1
-          end))
+  let action file file2 no_timings =
+    let timings = not no_timings in
+    let* reg = load file in
+    match file2 with
+    | None ->
+      print_string (Metrics.render ~timings reg);
+      0
+    | Some file2 ->
+      let* reg2 = load file2 in
+      print_string (Metrics.render_diff ~timings reg reg2);
+      0
   in
   let stats_file_arg =
     Arg.(
@@ -1166,12 +1092,6 @@ let stats_cmd =
       & info [] ~docv:"FILE2"
           ~doc:"A second event log to compare against (side-by-side diff)")
   in
-  let diff_arg =
-    Arg.(
-      value & flag
-      & info [ "diff" ]
-          ~doc:"Compare two event logs side by side (implied by FILE2)")
-  in
   let no_timings_arg =
     Arg.(
       value & flag
@@ -1180,24 +1100,12 @@ let stats_cmd =
             "Suppress wall-clock figures, leaving the subset that is \
              bit-identical across job counts and machines")
   in
-  let tolerance_arg =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "tolerance" ] ~docv:"REL"
-          ~doc:
-            "Turn the diff into a gate: exit non-zero when any \
-             deterministic scalar (counter, gauge, timer count) moved by \
-             more than REL relative to FILE (0.0 = any movement)")
-  in
   Cmd.v
     (Cmd.info "stats"
        ~doc:
          "Pretty-print the metric tree of a --metrics-out event log, or \
           diff two of them")
-    Term.(
-      const action $ stats_file_arg $ stats_file2_arg $ diff_arg
-      $ no_timings_arg $ tolerance_arg)
+    Term.(const action $ stats_file_arg $ stats_file2_arg $ no_timings_arg)
 
 (* serve *)
 

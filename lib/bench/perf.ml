@@ -1,4 +1,3 @@
-module Json = Exom_obs.Json
 module Metrics = Exom_obs.Metrics
 module Obs = Exom_obs.Obs
 module Pool = Exom_sched.Pool
@@ -6,49 +5,7 @@ module Store = Exom_sched.Store
 module Demand = Exom_core.Demand
 module Campaign = Exom_corpus.Campaign
 
-let schema_name = "exom.bench"
-let schema_version = 4
-
-type row = {
-  r_bench : string;
-  r_fault : string;
-  r_found : bool;
-  r_verifications : int;
-  r_queries : int;
-  r_iterations : int;
-  r_edges : int;
-  r_prunings : int;
-}
-
-type corpus_leg = {
-  c_seed : int;
-  c_count : int;
-  c_located : int;
-  c_total : int;
-  c_failed : int;
-  c_mean_iterations : float;
-  c_mean_verifications : float;
-  c_wall_seconds : float;
-}
-
-type snapshot = {
-  label : string;
-  jobs : int;
-  rows : row list;
-  located : int;
-  total : int;
-  verify_runs : int;
-  verify_seconds : float;
-  interp_runs : int;
-  store_hit_rate : float;
-  warm_hit_rate : float;
-  warm_verify_runs : int;
-  wall_seconds : float;
-  traced_wall_seconds : float;
-      (* the cold suite re-run with span recording on (v4); 0.0 on
-         v1-v3 snapshots read back from disk *)
-  corpus : corpus_leg option;
-}
+type t = { results : Runner.result list; metrics : Metrics.t }
 
 let rec rm_rf path =
   match Unix.lstat path with
@@ -58,548 +15,107 @@ let rec rm_rf path =
     (try Unix.rmdir path with Unix.Unix_error _ -> ())
   | _ -> ( try Unix.unlink path with Unix.Unix_error _ -> ())
 
-(* The corpus leg: a fixed-seed generated campaign run start to finish
-   (factory -> seeder -> localization) in a scratch directory.  The
-   counts are deterministic in (seed, count) like the suite rows, so
-   they regress-gate the generated-program path the hand-written suite
-   cannot cover; only [c_wall_seconds] is noisy. *)
-let run_corpus ?config ?(jobs = Pool.default_jobs ()) ~seed ~count () =
-  let t0 = Unix.gettimeofday () in
-  let manifest = Campaign.generate ~seed ~count () in
+(* A fresh per-process directory under the temp dir; the caller
+   removes it. *)
+let scratch_dir what =
   let dir =
     Filename.concat
       (Filename.get_temp_dir_name ())
-      (Printf.sprintf "exom_bench_corpus_%d" (Unix.getpid ()))
+      (Printf.sprintf "exom_bench_%s_%d" what (Unix.getpid ()))
   in
   rm_rf dir;
+  dir
+
+(* The corpus leg: a fixed-seed generated campaign run start to finish
+   (factory -> seeder -> localization).  Its counts are deterministic in
+   (seed, count) like the suite rows, so they gate the generated-program
+   path the hand-written suite cannot cover. *)
+let record_corpus ?config ~jobs ~seed ~count reg =
+  let dir = scratch_dir "corpus" in
   let rows, _missing =
-    Campaign.run_local ?config ~jobs ~dir ~manifest ~shards:1 ()
+    Campaign.run_local ?config ~jobs ~dir
+      ~manifest:(Campaign.generate ~seed ~count ())
+      ~shards:1 ()
   in
   rm_rf dir;
-  let s = Campaign.summarize rows in
-  let failed =
-    List.length
-      (List.filter
-         (fun r ->
-           r.Campaign.o_status = "no_failure" || r.Campaign.o_status = "error")
-         rows)
-  in
   let ran =
     List.filter
       (fun r ->
         r.Campaign.o_status = "located" || r.Campaign.o_status = "not_located")
       rows
   in
-  let mean key =
-    match ran with
-    | [] -> 0.0
-    | _ ->
-      float_of_int (List.fold_left (fun a r -> a + Campaign.count r key) 0 ran)
-      /. float_of_int (List.length ran)
-  in
-  {
-    c_seed = seed;
-    c_count = count;
-    c_located = s.Campaign.s_located;
-    c_total = s.Campaign.s_total;
-    c_failed = failed;
-    c_mean_iterations = mean "iterations";
-    c_mean_verifications = mean "verifications";
-    c_wall_seconds = Unix.gettimeofday () -. t0;
-  }
+  let sum key = List.fold_left (fun a r -> a + Campaign.count r key) 0 ran in
+  List.iter
+    (fun (k, v) -> Metrics.add reg ("corpus." ^ k) v)
+    [ ("seed", seed);
+      ("count", count);
+      ("located", List.length (List.filter Campaign.located rows));
+      ("total", List.length rows);
+      ("failed", List.length rows - List.length ran);
+      ("iterations", sum "iterations");
+      ("verifications", sum "verifications") ]
 
-(* Each fault gets its own registry and cold store so rows are
-   independent measurements; the totals are sums over the rows' private
-   registries.  The cold pass is followed by two passes over one shared
-   disk store — a priming pass that fills it and a warm pass that
-   should answer (almost) every verification from it.  The warm figures
-   are the cache's health check: a warm hit rate collapsing towards the
-   cold one means the store has stopped earning its keep. *)
-let run_suite ?config ?(jobs = Pool.default_jobs ()) ?(label = "")
-    ?corpus_count () =
+let run_suite ?config ?(jobs = Pool.default_jobs ()) ?corpus_count () =
   let pool = Pool.create ~jobs () in
-  let t0 = Unix.gettimeofday () in
-  let rows = ref [] in
-  let verify_runs = ref 0 in
-  let verify_seconds = ref 0.0 in
-  let interp_runs = ref 0 in
-  List.iter
-    (fun (bench, fault) ->
-      let obs = Obs.create () in
-      let r = Runner.run_fault ?config ~obs ~pool bench fault in
-      let report = r.Runner.report in
-      rows :=
-        {
-          r_bench = bench.Bench_types.name;
-          r_fault = fault.Bench_types.fid;
-          r_found = report.Demand.found;
-          r_verifications = report.Demand.verifications;
-          r_queries = report.Demand.verify_queries;
-          r_iterations = report.Demand.iterations;
-          r_edges = report.Demand.expanded_edges;
-          r_prunings = report.Demand.total_prunings;
-        }
-        :: !rows;
-      let reg = Obs.metrics obs in
-      verify_runs := !verify_runs + Metrics.timer_count reg "verify.run";
-      verify_seconds := !verify_seconds +. Metrics.timer_seconds reg "verify.run";
-      interp_runs := !interp_runs + Metrics.counter_value reg "interp.runs")
-    Suite.rows;
-  (* wall clock covers the cold pass only, preserving the metric's
-     meaning across snapshot history (v1 snapshots had no warm legs) *)
-  let wall_seconds = Unix.gettimeofday () -. t0 in
-  (* traced pass (v4): the same cold suite with span recording on, so
-     the history tracks what --trace-out costs; the spans themselves
-     are discarded — only the wall figure matters here *)
-  let t1 = Unix.gettimeofday () in
-  List.iter
-    (fun (bench, fault) ->
-      let obs = Obs.create ~trace:true () in
-      ignore (Runner.run_fault ?config ~obs ~pool bench fault))
-    Suite.rows;
-  let traced_wall_seconds = Unix.gettimeofday () -. t1 in
-  (* warm-store legs: each fault opens a fresh handle (empty memory
-     front) over the same directory, the way independent processes
-     would, so warm hits are honest disk hits *)
-  let store_dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "exom_bench_store_%d" (Unix.getpid ()))
+  let reg = Metrics.create () in
+  (* each fault gets its own registry, so a row's counts are its own *)
+  let results =
+    List.map
+      (fun (bench, fault) ->
+        let obs = Obs.create () in
+        let r = Runner.run_fault ?config ~obs ~pool bench fault in
+        let rep = r.Runner.report in
+        let row =
+          Printf.sprintf "suite.%s.%s." bench.Bench_types.name
+            fault.Bench_types.fid
+        in
+        List.iter
+          (fun (k, v) ->
+            Metrics.add reg (row ^ k) v;
+            Metrics.add reg ("suite." ^ k) v)
+          [ ("found", Bool.to_int rep.Demand.found);
+            ("verifications", rep.Demand.verifications);
+            ("queries", rep.Demand.verify_queries);
+            ("iterations", rep.Demand.iterations);
+            ("edges", rep.Demand.expanded_edges);
+            ("prunings", rep.Demand.total_prunings);
+            ( "interp_runs",
+              Metrics.counter_value (Obs.metrics obs) "interp.runs" ) ];
+        r)
+      Suite.rows
   in
-  rm_rf store_dir;
-  let store_pass () =
-    let hits = ref 0 and queries = ref 0 and runs = ref 0 in
+  (* The warm figures are the cache's health check: a warm pass over
+     the store a priming pass filled should answer every verification
+     from disk and dispatch no switched run. *)
+  let store_dir = scratch_dir "store" in
+  let store_pass into =
     List.iter
       (fun (bench, fault) ->
         let obs = Obs.create () in
         let store = Store.create ~obs ~dir:store_dir () in
         let r = Runner.run_fault ?config ~obs ~pool ~store bench fault in
         let st = r.Runner.report.Demand.store in
-        hits := !hits + st.Store.hits + st.Store.disk_hits;
-        queries :=
-          !queries + st.Store.hits + st.Store.disk_hits + st.Store.misses;
-        runs := !runs + Metrics.timer_count (Obs.metrics obs) "verify.run")
-      Suite.rows;
-    let rate =
-      if !queries = 0 then 0.0
-      else float_of_int !hits /. float_of_int !queries
-    in
-    (rate, !runs)
+        let hits = st.Store.hits + st.Store.disk_hits in
+        Metrics.add into "warm.hits" hits;
+        Metrics.add into "warm.queries" (hits + st.Store.misses);
+        Metrics.add into "warm.switched_runs"
+          (Metrics.timer_count (Obs.metrics obs) "verify.run"))
+      Suite.rows
   in
-  let prime_rate, _ = store_pass () in
-  let warm_hit_rate, warm_verify_runs = store_pass () in
+  store_pass (Metrics.create ());
+  store_pass reg;
   rm_rf store_dir;
   Pool.shutdown pool;
-  let corpus =
-    (* fixed seed: the leg tracks locator behavior, not corpus variety *)
-    Option.map
-      (fun count -> run_corpus ?config ~jobs ~seed:1 ~count ())
-      corpus_count
-  in
-  let rows = List.rev !rows in
-  {
-    label;
-    jobs;
-    rows;
-    located = List.length (List.filter (fun r -> r.r_found) rows);
-    total = List.length rows;
-    verify_runs = !verify_runs;
-    verify_seconds = !verify_seconds;
-    interp_runs = !interp_runs;
-    store_hit_rate = prime_rate;
-    warm_hit_rate;
-    warm_verify_runs;
-    wall_seconds;
-    traced_wall_seconds;
-    corpus;
-  }
+  (* fixed seed: the leg tracks locator behavior, not corpus variety *)
+  Option.iter
+    (fun count -> record_corpus ?config ~jobs ~seed:1 ~count reg)
+    corpus_count;
+  { results; metrics = reg }
 
-(* {2 Serialization} *)
-
-let num n = Json.Num (float_of_int n)
-
-let row_json r =
-  Json.Obj
-    [
-      ("bench", Json.Str r.r_bench);
-      ("fault", Json.Str r.r_fault);
-      ("found", Json.Bool r.r_found);
-      ("verifications", num r.r_verifications);
-      ("queries", num r.r_queries);
-      ("iterations", num r.r_iterations);
-      ("edges", num r.r_edges);
-      ("prunings", num r.r_prunings);
-    ]
-
-let to_json s =
-  Json.Obj
-    ([
-      ("schema", Json.Str schema_name);
-      ("version", num schema_version);
-      ("label", Json.Str s.label);
-      ("jobs", num s.jobs);
-      ("located", num s.located);
-      ("total", num s.total);
-      ("verify_runs", num s.verify_runs);
-      ("verify_seconds", Json.Num s.verify_seconds);
-      ("interp_runs", num s.interp_runs);
-      ("store_hit_rate", Json.Num s.store_hit_rate);
-      ("warm_hit_rate", Json.Num s.warm_hit_rate);
-      ("warm_verify_runs", num s.warm_verify_runs);
-      ("wall_seconds", Json.Num s.wall_seconds);
-      ("traced_wall_seconds", Json.Num s.traced_wall_seconds);
-      ("rows", Json.Arr (List.map row_json s.rows));
-    ]
-    @
-    match s.corpus with
-    | None -> []
-    | Some c ->
-      [
-        ( "corpus",
-          Json.Obj
-            [
-              ("seed", num c.c_seed);
-              ("count", num c.c_count);
-              ("located", num c.c_located);
-              ("total", num c.c_total);
-              ("failed", num c.c_failed);
-              ("mean_iterations", Json.Num c.c_mean_iterations);
-              ("mean_verifications", Json.Num c.c_mean_verifications);
-              ("wall_seconds", Json.Num c.c_wall_seconds);
-            ] );
-      ])
-
-let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e
-
-let require what = function
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "missing or ill-typed %s" what)
-
-let get_str j k = Option.bind (Json.member k j) Json.to_str
-let get_num j k = Option.bind (Json.member k j) Json.to_float
-let get_int j k = Option.map int_of_float (get_num j k)
-
-let get_bool j k =
-  match Json.member k j with Some (Json.Bool b) -> Some b | _ -> None
-
-let row_of_json j =
-  let* r_bench = require "row.bench" (get_str j "bench") in
-  let* r_fault = require "row.fault" (get_str j "fault") in
-  let* r_found = require "row.found" (get_bool j "found") in
-  let* r_verifications = require "row.verifications" (get_int j "verifications") in
-  let* r_queries = require "row.queries" (get_int j "queries") in
-  let* r_iterations = require "row.iterations" (get_int j "iterations") in
-  let* r_edges = require "row.edges" (get_int j "edges") in
-  let* r_prunings = require "row.prunings" (get_int j "prunings") in
-  Ok
-    { r_bench; r_fault; r_found; r_verifications; r_queries; r_iterations;
-      r_edges; r_prunings }
-
-let corpus_of_json j =
-  let* c_seed = require "corpus.seed" (get_int j "seed") in
-  let* c_count = require "corpus.count" (get_int j "count") in
-  let* c_located = require "corpus.located" (get_int j "located") in
-  let* c_total = require "corpus.total" (get_int j "total") in
-  let* c_failed = require "corpus.failed" (get_int j "failed") in
-  let* c_mean_iterations =
-    require "corpus.mean_iterations" (get_num j "mean_iterations")
-  in
-  let* c_mean_verifications =
-    require "corpus.mean_verifications" (get_num j "mean_verifications")
-  in
-  let* c_wall_seconds =
-    require "corpus.wall_seconds" (get_num j "wall_seconds")
-  in
-  Ok
-    { c_seed; c_count; c_located; c_total; c_failed; c_mean_iterations;
-      c_mean_verifications; c_wall_seconds }
-
-let of_json j =
-  let* schema = require "schema" (get_str j "schema") in
-  if schema <> schema_name then
-    Error (Printf.sprintf "foreign schema %S" schema)
-  else
-    let* version = require "version" (get_int j "version") in
-    (* v1 snapshots predate the warm-store legs (figures read back
-       zeroed); v1 and v2 predate the corpus leg (reads back [None]);
-       v1-v3 predate the traced pass (reads back 0.0).  All degrade to
-       "no baseline" in the comparator, never to a fabricated drop. *)
-    if version <> schema_version && not (List.mem version [ 1; 2; 3 ]) then
-      Error
-        (Printf.sprintf "schema version %d (this reader understands %d)"
-           version schema_version)
-    else
-      let* label = require "label" (get_str j "label") in
-      let* jobs = require "jobs" (get_int j "jobs") in
-      let* located = require "located" (get_int j "located") in
-      let* total = require "total" (get_int j "total") in
-      let* verify_runs = require "verify_runs" (get_int j "verify_runs") in
-      let* verify_seconds = require "verify_seconds" (get_num j "verify_seconds") in
-      let* interp_runs = require "interp_runs" (get_int j "interp_runs") in
-      let* store_hit_rate = require "store_hit_rate" (get_num j "store_hit_rate") in
-      let* warm_hit_rate =
-        if version = 1 then Ok 0.0
-        else require "warm_hit_rate" (get_num j "warm_hit_rate")
-      in
-      let* warm_verify_runs =
-        if version = 1 then Ok 0
-        else require "warm_verify_runs" (get_int j "warm_verify_runs")
-      in
-      let* wall_seconds = require "wall_seconds" (get_num j "wall_seconds") in
-      let* traced_wall_seconds =
-        if version < 4 then Ok 0.0
-        else require "traced_wall_seconds" (get_num j "traced_wall_seconds")
-      in
-      let* rows_j = require "rows" (Option.bind (Json.member "rows" j) Json.to_list) in
-      let rec go acc = function
-        | [] -> Ok (List.rev acc)
-        | r :: rest ->
-          let* row = row_of_json r in
-          go (row :: acc) rest
-      in
-      let* rows = go [] rows_j in
-      let* corpus =
-        match Json.member "corpus" j with
-        | None -> Ok None
-        | Some c ->
-          let* leg = corpus_of_json c in
-          Ok (Some leg)
-      in
-      Ok
-        { label; jobs; rows; located; total; verify_runs; verify_seconds;
-          interp_runs; store_hit_rate; warm_hit_rate; warm_verify_runs;
-          wall_seconds; traced_wall_seconds; corpus }
-
-let to_line s = Json.to_string (to_json s)
-
-let write_file path content =
-  Exom_util.Vfs.get_ok
-    (Exom_util.Vfs.write_file_atomic ~tmp:(path ^ ".tmp") path content)
-
-let write path s = write_file path (to_line s ^ "\n")
-
-let append_history path s =
-  Exom_util.Vfs.get_ok (Exom_util.Vfs.append path (to_line s ^ "\n"))
-
-let load path =
-  match
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
-  | exception Sys_error e -> Error e
-  | content -> (
-    let lines =
-      String.split_on_char '\n' content
-      |> List.filter (fun l -> String.trim l <> "")
-    in
-    match List.rev lines with
-    | [] -> Error "empty snapshot file"
-    | last :: _ ->
-      let* j = Json.parse last in
-      of_json j)
-
-(* {2 Regression comparison} *)
-
-type severity = Regression | Info
-
-type finding = { severity : severity; metric : string; detail : string }
-
-(* Relative movement of a numeric metric against a threshold: growth
-   beyond it is a regression, shrinkage beyond it an improvement. *)
-let drift ~threshold ~metric ~fmt old_v new_v =
-  if old_v <= 0.0 then []
-  else
-    let rel = (new_v -. old_v) /. old_v in
-    if Float.abs rel <= threshold then []
-    else
-      [
-        {
-          severity = (if rel > 0.0 then Regression else Info);
-          metric;
-          detail =
-            Printf.sprintf "%s -> %s (%+.1f%%, tolerance %.0f%%)" (fmt old_v)
-              (fmt new_v) (100.0 *. rel) (100.0 *. threshold);
-        };
-      ]
-
-(* Hit rates run the other way: shrinkage beyond the threshold is the
-   regression, growth the improvement. *)
-let rate_drift ~threshold ~metric old_v new_v =
-  if old_v <= 0.0 then []
-  else
-    let rel = (new_v -. old_v) /. old_v in
-    if Float.abs rel <= threshold then []
-    else
-      [
-        {
-          severity = (if rel < 0.0 then Regression else Info);
-          metric;
-          detail =
-            Printf.sprintf "%.0f%% -> %.0f%% (%+.1f%%, tolerance %.0f%%)"
-              (100.0 *. old_v) (100.0 *. new_v) (100.0 *. rel)
-              (100.0 *. threshold);
-        };
-      ]
-
-let fmt_int v = string_of_int (int_of_float v)
-let fmt_s v = Printf.sprintf "%.3fs" v
-
-let compare ~tolerance ~time_tolerance old_s new_s =
-  let findings = ref [] in
-  let push f = findings := f :: !findings in
-  (* localization outcomes: any drop is a regression, no tolerance *)
-  if new_s.located < old_s.located then
-    push
-      {
-        severity = Regression;
-        metric = "located";
-        detail =
-          Printf.sprintf "%d/%d -> %d/%d faults located" old_s.located
-            old_s.total new_s.located new_s.total;
-      }
-  else if new_s.located > old_s.located then
-    push
-      {
-        severity = Info;
-        metric = "located";
-        detail =
-          Printf.sprintf "%d/%d -> %d/%d faults located" old_s.located
-            old_s.total new_s.located new_s.total;
-      };
-  List.iter
-    (fun old_row ->
-      match
-        List.find_opt
-          (fun r ->
-            r.r_bench = old_row.r_bench && r.r_fault = old_row.r_fault)
-          new_s.rows
-      with
-      | Some new_row when old_row.r_found && not new_row.r_found ->
-        push
-          {
-            severity = Regression;
-            metric =
-              Printf.sprintf "%s %s" old_row.r_bench old_row.r_fault;
-            detail = "previously located, now missed";
-          }
-      | Some _ -> ()
-      | None ->
-        push
-          {
-            severity = Info;
-            metric =
-              Printf.sprintf "%s %s" old_row.r_bench old_row.r_fault;
-            detail = "row absent from the new snapshot";
-          })
-    old_s.rows;
-  let counts =
-    [
-      ("verify_runs", float_of_int old_s.verify_runs,
-       float_of_int new_s.verify_runs);
-      ("interp_runs", float_of_int old_s.interp_runs,
-       float_of_int new_s.interp_runs);
-      ( "queries",
-        float_of_int
-          (List.fold_left (fun a r -> a + r.r_queries) 0 old_s.rows),
-        float_of_int
-          (List.fold_left (fun a r -> a + r.r_queries) 0 new_s.rows) );
-    ]
-  in
-  List.iter
-    (fun (metric, o, n) ->
-      List.iter push (drift ~threshold:tolerance ~metric ~fmt:fmt_int o n))
-    counts;
-  List.iter
-    (fun (metric, o, n) ->
-      List.iter push (rate_drift ~threshold:tolerance ~metric o n))
-    [
-      ("store_hit_rate", old_s.store_hit_rate, new_s.store_hit_rate);
-      ("warm_hit_rate", old_s.warm_hit_rate, new_s.warm_hit_rate);
-    ];
-  (* the warm pass should re-execute (nearly) nothing; a baseline of
-     zero gives drift no denominator, so new dispatches are flagged
-     outright *)
-  if old_s.warm_verify_runs = 0 && new_s.warm_verify_runs > 0 then
-    push
-      {
-        severity = Regression;
-        metric = "warm_verify_runs";
-        detail =
-          Printf.sprintf
-            "warm pass dispatched %d switched run(s); the baseline \
-             answered everything from the store"
-            new_s.warm_verify_runs;
-      }
-  else
-    List.iter push
-      (drift ~threshold:tolerance ~metric:"warm_verify_runs" ~fmt:fmt_int
-         (float_of_int old_s.warm_verify_runs)
-         (float_of_int new_s.warm_verify_runs));
-  List.iter
-    (fun (metric, o, n) ->
-      List.iter push (drift ~threshold:time_tolerance ~metric ~fmt:fmt_s o n))
-    [
-      ("verify_seconds", old_s.verify_seconds, new_s.verify_seconds);
-      ("wall_seconds", old_s.wall_seconds, new_s.wall_seconds);
-    ];
-  (* tracing overhead (v4): loosely gated like the other timings, and
-     only when both snapshots measured it — a pre-v4 baseline reads
-     back 0.0 and must not fabricate a drop *)
-  if old_s.traced_wall_seconds > 0.0 && new_s.traced_wall_seconds > 0.0 then
-    List.iter push
-      (drift ~threshold:time_tolerance ~metric:"traced_wall_seconds"
-         ~fmt:fmt_s old_s.traced_wall_seconds new_s.traced_wall_seconds);
-  (* corpus leg: gated only when both snapshots ran it over the same
-     (seed, count) — otherwise the numbers measure different corpora *)
-  (match (old_s.corpus, new_s.corpus) with
-  | Some o, Some n when o.c_seed = n.c_seed && o.c_count = n.c_count ->
-    if n.c_located < o.c_located then
-      push
-        {
-          severity = Regression;
-          metric = "corpus.located";
-          detail =
-            Printf.sprintf "%d/%d -> %d/%d corpus faults located" o.c_located
-              o.c_total n.c_located n.c_total;
-        }
-    else if n.c_located > o.c_located then
-      push
-        {
-          severity = Info;
-          metric = "corpus.located";
-          detail =
-            Printf.sprintf "%d/%d -> %d/%d corpus faults located" o.c_located
-              o.c_total n.c_located n.c_total;
-        };
-    List.iter
-      (fun (metric, ov, nv) ->
-        List.iter push
-          (drift ~threshold:tolerance ~metric
-             ~fmt:(fun v -> Printf.sprintf "%.2f" v)
-             ov nv))
-      [
-        ("corpus.mean_iterations", o.c_mean_iterations, n.c_mean_iterations);
-        ( "corpus.mean_verifications",
-          o.c_mean_verifications,
-          n.c_mean_verifications );
-      ]
-  | _ -> ());
-  List.rev !findings
-
-let has_regression findings =
-  List.exists (fun f -> f.severity = Regression) findings
-
-let render findings =
-  if findings = [] then "no metric moved beyond tolerance\n"
-  else
-    String.concat ""
-      (List.map
-         (fun f ->
-           Printf.sprintf "%s %-16s %s\n"
-             (match f.severity with
-             | Regression -> "REGRESSION"
-             | Info -> "info      ")
-             f.metric f.detail)
-         findings)
+let direction name =
+  match name with
+  | "corpus.seed" | "corpus.count" -> Metrics.Both
+  | _ -> (
+    match List.rev (String.split_on_char '.' name) with
+    | ("found" | "located" | "hits") :: _ -> Metrics.Down
+    | _ -> Metrics.Up)

@@ -1,135 +1,48 @@
-(** Suite-level performance snapshots and regression checks: the
-    persistent perf trajectory behind [exom bench --history] /
-    [BENCH_exom.json] and the [exom regress] comparator.
+(** The perf snapshot behind [exom bench --all --metrics-out] and the
+    committed [BENCH_exom.jsonl] baseline, and the direction table that
+    [exom regress] gates it with.
 
-    A snapshot is one run of the whole benchmark suite reduced to the
-    numbers worth tracking over time: localization outcomes per fault,
-    verification work (queries / switched runs / interpreter runs),
-    wall-clock sections, and the verdict-store hit rate.  Snapshots are
-    schema-versioned JSON (one object per line, so a history file is
-    plain JSONL) and {!compare} flags metric movements beyond tolerance
-    — counts strictly (they are deterministic), timings loosely (they
-    are not). *)
+    A snapshot is a registry of counters only.  It has no wall-clock
+    figure, and every count is deterministic in the suite, the locator
+    configuration and the corpus leg's (seed, count).  It is written
+    with {!Exom_obs.Export.write_metrics}, the [exom.obs] codec that
+    [exom stats] and [exom audit] read, and two snapshots compare with
+    {!Exom_obs.Metrics.drift}.  The counters:
+    - [suite.<bench>.<fault>.<field>] for each suite fault, and
+      [suite.<field>] summed over the faults.  The fields are [found]
+      (0 or 1), [verifications], [queries], [iterations], [edges],
+      [prunings] and [interp_runs];
+    - [warm.hits], [warm.queries] and [warm.switched_runs], from a
+      pass over a disk store that an earlier pass filled;
+    - with a corpus leg, [corpus.seed], [corpus.count],
+      [corpus.located], [corpus.total], [corpus.failed], and
+      [corpus.iterations] and [corpus.verifications] summed over the
+      triples that ran. *)
 
-val schema_name : string
-val schema_version : int
-
-type row = {
-  r_bench : string;
-  r_fault : string;
-  r_found : bool;
-  r_verifications : int;
-  r_queries : int;
-  r_iterations : int;
-  r_edges : int;
-  r_prunings : int;
+type t = {
+  results : Runner.result list;
+      (** the cold pass, one result per {!Suite.rows} entry, in order *)
+  metrics : Exom_obs.Metrics.t;  (** the snapshot *)
 }
 
-(** The optional corpus leg (schema v3): a fixed-seed generated
-    campaign run end to end.  Counts are deterministic in
-    [(c_seed, c_count)]; only [c_wall_seconds] is noisy. *)
-type corpus_leg = {
-  c_seed : int;
-  c_count : int;
-  c_located : int;
-  c_total : int;
-  c_failed : int;  (** no_failure + error rows *)
-  c_mean_iterations : float;  (** over rows that ran *)
-  c_mean_verifications : float;
-  c_wall_seconds : float;
-}
-
-type snapshot = {
-  label : string;  (** free-form tag, e.g. a date or a commit subject *)
-  jobs : int;
-  rows : row list;
-  located : int;  (** faults whose root cause entered the slice *)
-  total : int;
-  verify_runs : int;  (** switched re-executions across the suite *)
-  verify_seconds : float;
-  interp_runs : int;  (** every interpreter execution, profiling included *)
-  store_hit_rate : float;
-      (** hit rate of the {e priming} pass over one shared disk store *)
-  warm_hit_rate : float;
-      (** hit rate of a second pass over the primed store: the
-          cache-health number (should be close to 1) *)
-  warm_verify_runs : int;
-      (** switched runs the warm pass still had to dispatch (should be
-          close to 0) *)
-  wall_seconds : float;  (** whole-suite wall clock *)
-  traced_wall_seconds : float;
-      (** the cold suite re-run with span recording on (schema v4):
-          tracks what [--trace-out] costs, so tracing never silently
-          becomes a tax.  [0.0] on v1-v3 snapshots read back from
-          disk; {!compare} only gates it when both sides measured
-          it. *)
-  corpus : corpus_leg option;
-      (** [None] when the snapshot skipped the corpus leg (and on every
-          v1/v2 snapshot read back from disk) *)
-}
-
-(** Run the full suite and reduce it to a snapshot: a cold pass (no
-    store — the per-fault rows and run totals), then a priming pass and
-    a warm pass over one shared disk store (the [store_hit_rate] /
-    [warm_*] figures; each fault opens a fresh handle, so warm hits are
-    honest disk hits).  [jobs] sizes the verification pool (default:
-    [EXOM_JOBS] via the default pool).  [config] overrides the
-    locator's configuration on every leg — e.g.
-    [{ Demand.default_config with ranking = None }] measures the
-    static-order control for the ranked-vs-static comparison. *)
+(** Run the whole suite three times: a cold pass (no store) that fills
+    the [suite.*] counters, then a priming pass and a warm pass over
+    one scratch disk store.  Each fault opens a fresh store handle, so
+    warm hits are disk hits.  Only the warm pass is recorded.  With
+    [corpus_count], also run the seed-1 generated corpus of that many
+    triples.  [jobs] sizes the verification pool (default
+    [EXOM_JOBS]).  [config] applies to every pass; with
+    [{ Demand.default_config with ranking = None }] it measures the
+    static verification order. *)
 val run_suite :
   ?config:Exom_core.Demand.config ->
   ?jobs:int ->
-  ?label:string ->
   ?corpus_count:int ->
   unit ->
-  snapshot
+  t
 
-(** Run just the corpus leg: generate a [count]-triple corpus at
-    [seed] and run its campaign in a scratch directory. *)
-val run_corpus :
-  ?config:Exom_core.Demand.config ->
-  ?jobs:int ->
-  seed:int ->
-  count:int ->
-  unit ->
-  corpus_leg
-
-(** {2 Serialization} *)
-
-val to_json : snapshot -> Exom_obs.Json.t
-val of_json : Exom_obs.Json.t -> (snapshot, string) result
-
-(** One JSON object on one line (both the single-snapshot file format
-    and the history line format). *)
-val to_line : snapshot -> string
-
-(** Write a single-snapshot file (used for the committed baseline). *)
-val write : string -> snapshot -> unit
-
-(** Append one snapshot line to a history JSONL file (created if
-    missing). *)
-val append_history : string -> snapshot -> unit
-
-(** Load the snapshot from [path]: the last non-empty line — so a
-    baseline file and a history file read the same way. *)
-val load : string -> (snapshot, string) result
-
-(** {2 Regression comparison} *)
-
-type severity = Regression | Info
-
-type finding = { severity : severity; metric : string; detail : string }
-
-(** [compare ~tolerance ~time_tolerance old_s new_s]: regressions are a
-    drop in located faults (or any previously-located fault now
-    missed), a deterministic count (queries, switched runs, interpreter
-    runs) growing beyond [tolerance] (relative, e.g. [0.1] = +10%), or
-    a timing growing beyond [time_tolerance]; improvements beyond the
-    same thresholds are reported as [Info]. *)
-val compare :
-  tolerance:float -> time_tolerance:float -> snapshot -> snapshot ->
-  finding list
-
-val has_regression : finding list -> bool
-val render : finding list -> string
+(** The regress direction of a snapshot counter.  [found], [located]
+    and [hits] breach when they fall; [corpus.seed] and [corpus.count]
+    breach on any change, since another corpus is another baseline;
+    every other count breaches when it grows. *)
+val direction : string -> Exom_obs.Metrics.direction

@@ -2,7 +2,7 @@
     def-use dependences exercised over a set of test runs.  Used as an
     alternative, evidence-based backend for condition (iv) of potential
     dependences (see {!Exom_cfg.Potential} and the RS-backend ablation
-    in [bench/main.ml]). *)
+    printed by [exom bench --all]). *)
 
 type t
 

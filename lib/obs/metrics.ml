@@ -170,7 +170,7 @@ let render ?(timings = true) t =
   print 0 root;
   Buffer.contents buf
 
-(* Side-by-side diff of two registries (`exom stats --diff`): one row
+(* Side-by-side diff of two registries (`exom stats A B`): one row
    per metric in the union of names, with absolute and relative deltas
    on the deterministic scalar (counter/gauge value, timer count).
    Timer wall-clock sums get their own row unless [timings:false]. *)

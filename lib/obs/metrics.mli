@@ -74,14 +74,14 @@ val render : ?timings:bool -> t -> string
 (** Side-by-side table over the union of both registries' names, with
     absolute and relative deltas of each metric's deterministic scalar
     (counter/gauge value, timer count); timer wall-clock sums get their
-    own row unless [timings:false].  Backs [exom stats --diff]. *)
+    own row unless [timings:false].  Backs [exom stats FILE FILE2]. *)
 val render_diff : ?timings:bool -> t -> t -> string
 
 (** {2 Drift: the typed, gateable diff}
 
     One finding per metric whose deterministic scalar moved, with a
-    direction-aware tolerance verdict.  Backs [exom stats --tolerance]
-    and the metric leg of [exom audit]. *)
+    direction-aware tolerance verdict.  Backs [exom regress] (with
+    [Exom_bench.Perf.direction]) and the metric leg of [exom audit]. *)
 
 (** Which movement counts against the tolerance: [Up] — growth is
     drift (costs, e.g. ["verify.run"]); [Down] — shrinkage is drift

@@ -1,6 +1,7 @@
 (* Tests for the benchmark suite: fault validity, the Table 1-3
-   properties the paper's evaluation rests on, and end-to-end
-   localization of representative faults from each benchmark. *)
+   properties the paper's evaluation rests on, end-to-end
+   localization of representative faults from each benchmark, and the
+   perf snapshot's regress directions. *)
 
 module B = Exom_bench.Bench_types
 module Runner = Exom_bench.Runner
@@ -8,6 +9,8 @@ module Suite = Exom_bench.Suite
 module Demand = Exom_core.Demand
 module Interp = Exom_interp.Interp
 module Typecheck = Exom_lang.Typecheck
+module Perf = Exom_bench.Perf
+module Metrics = Exom_obs.Metrics
 
 let find_bench name =
   match Suite.find name with
@@ -412,6 +415,51 @@ let test_sed_cascade_two_edges () =
   Alcotest.(check int) "2 iterations" 2 r.Runner.report.Demand.iterations;
   Alcotest.(check int) "2 edges" 2 r.Runner.report.Demand.expanded_edges
 
+(* Perf snapshot *)
+
+(* The committed baseline, read fresh on every call so a doctored copy
+   never aliases the base. *)
+let baseline () =
+  let content =
+    In_channel.with_open_bin "../BENCH_exom.jsonl" In_channel.input_all
+  in
+  match Exom_obs.Export.metrics_of_jsonl content with
+  | Ok (reg, None) -> reg
+  | Ok (_, Some _) -> Alcotest.fail "the committed baseline is torn"
+  | Error e -> Alcotest.fail e
+
+let test_regress_directions () =
+  let base = baseline () in
+  let drift newer = Metrics.drift ~direction_of:Perf.direction base newer in
+  Alcotest.(check bool) "the baseline holds counters only" true
+    (List.for_all
+       (fun m -> m.Metrics.kind = Metrics.Counter)
+       (Metrics.to_list base));
+  Alcotest.(check bool) "the baseline does not drift from itself" false
+    (Metrics.has_drift (drift (baseline ())));
+  (* each case moves one counter of a fresh copy by [delta]; that
+     counter must be the only finding, breaching as [breach] says *)
+  List.iter
+    (fun (what, name, delta, breach) ->
+      let doctored = baseline () in
+      Alcotest.(check bool) (name ^ " is in the baseline") true
+        (Metrics.find doctored name <> None);
+      Metrics.add doctored name delta;
+      match drift doctored with
+      | [ f ] ->
+        Alcotest.(check string) (what ^ ": names the counter") name
+          f.Metrics.d_name;
+        Alcotest.(check bool) what breach f.Metrics.d_breach
+      | fs -> Alcotest.failf "%s: %d findings, expected 1" what (List.length fs))
+    [ ("a count that grows breaches", "suite.grepsim.V4-F2.queries", 1, true);
+      ("a count that falls is listed", "suite.queries", -1, false);
+      ("found 1 -> 0 breaches", "suite.gzipsim.V2-F3.found", -1, true);
+      ("warm switched runs 0 -> 7 breach", "warm.switched_runs", 7, true);
+      ("warm hits falling breach", "warm.hits", -1, true);
+      ("corpus located -1 breaches", "corpus.located", -1, true);
+      ("another corpus seed breaches", "corpus.seed", 1, true);
+      ("a smaller corpus breaches", "corpus.count", -10, true) ]
+
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   let slow name f = Alcotest.test_case name `Slow f in
@@ -452,4 +500,5 @@ let () =
             test_verify_modes_agree_on_suite;
           slow "union-graph condition (iv)" test_union_graph_backend;
           slow "critical-predicate search fails where demand succeeds"
-            test_critical_search_comparison ] ) ]
+            test_critical_search_comparison ] );
+      ("perf", [ tc "regression comparator" test_regress_directions ]) ]

@@ -1,11 +1,10 @@
 (* The provenance ledger: serialization strictness, byte determinism
-   across job counts, the explain narrative naming the seeded root
-   cause, and the perf-snapshot regression comparator. *)
+   across job counts, and the explain narrative naming the seeded root
+   cause. *)
 
 module B = Exom_bench.Bench_types
 module Suite = Exom_bench.Suite
 module Runner = Exom_bench.Runner
-module Perf = Exom_bench.Perf
 module Ledger = Exom_ledger.Ledger
 module Explain = Exom_ledger.Explain
 module Pool = Exom_sched.Pool
@@ -366,256 +365,6 @@ let test_explain_grep () = explain_names_root "grepsim" "V4-F2"
 let test_explain_flex () = explain_names_root "flexsim" "V1-F9"
 let test_explain_sed () = explain_names_root "sedsim" "V3-F2"
 
-(* {2 Perf snapshots} *)
-
-let snapshot ?(warm_hit_rate = 0.95) ?(warm_verify_runs = 0) rows ~label
-    ~verify_runs ~wall =
-  {
-    Perf.label;
-    jobs = 1;
-    rows;
-    located = List.length (List.filter (fun r -> r.Perf.r_found) rows);
-    total = List.length rows;
-    verify_runs;
-    verify_seconds = 0.1;
-    interp_runs = 100;
-    store_hit_rate = 0.5;
-    warm_hit_rate;
-    warm_verify_runs;
-    wall_seconds = wall;
-    traced_wall_seconds = 0.0;
-    corpus = None;
-  }
-
-let row ?(found = true) ?(queries = 10) bench fault =
-  {
-    Perf.r_bench = bench;
-    r_fault = fault;
-    r_found = found;
-    r_verifications = 5;
-    r_queries = queries;
-    r_iterations = 2;
-    r_edges = 3;
-    r_prunings = 7;
-  }
-
-let test_perf_roundtrip () =
-  let s =
-    snapshot
-      [ row "gzipsim" "V2-F3"; row ~found:false "grepsim" "V4-F2" ]
-      ~label:"base" ~verify_runs:50 ~wall:1.5
-  in
-  (match Perf.of_json (Perf.to_json s) with
-  | Error e -> Alcotest.fail ("snapshot does not read back: " ^ e)
-  | Ok s' ->
-    Alcotest.(check string) "re-serialization is identity" (Perf.to_line s)
-      (Perf.to_line s'));
-  match
-    Perf.of_json
-      (Exom_obs.Json.Obj
-         [ ("schema", Exom_obs.Json.Str "exom.bench");
-           ("version", Exom_obs.Json.Num 99.0) ])
-  with
-  | Ok _ -> Alcotest.fail "version skew accepted"
-  | Error _ -> ()
-
-let test_perf_v1_compat () =
-  (* a v1 snapshot (no warm-store legs) still reads, with the warm
-     figures zeroed so the comparator sees "no baseline" *)
-  let s =
-    snapshot [ row "gzipsim" "V2-F3" ] ~label:"v1" ~verify_runs:50 ~wall:1.0
-  in
-  let v1_line =
-    (* serialize as v2, then rewrite into a v1 object: drop the warm
-       fields, patch the version *)
-    match Perf.to_json s with
-    | Exom_obs.Json.Obj fields ->
-      Exom_obs.Json.Obj
-        (List.filter_map
-           (fun (k, v) ->
-             match k with
-             | "warm_hit_rate" | "warm_verify_runs" -> None
-             | "version" -> Some (k, Exom_obs.Json.Num 1.0)
-             | _ -> Some (k, v))
-           fields)
-    | _ -> Alcotest.fail "snapshot did not serialize to an object"
-  in
-  match Perf.of_json v1_line with
-  | Error e -> Alcotest.fail ("v1 snapshot rejected: " ^ e)
-  | Ok s' ->
-    Alcotest.(check (float 0.0)) "warm rate defaults to 0" 0.0
-      s'.Perf.warm_hit_rate;
-    Alcotest.(check int) "warm runs default to 0" 0 s'.Perf.warm_verify_runs;
-    (* and zeroed warm baselines must not flag the v2 candidate *)
-    let findings = Perf.compare ~tolerance:0.1 ~time_tolerance:0.5 s' s in
-    Alcotest.(check bool) "no spurious warm regression" false
-      (Perf.has_regression findings)
-
-let test_perf_v3_compat_and_traced_gate () =
-  (* a v3 snapshot (no traced re-run) still reads, with the traced wall
-     clock zeroed; the comparator only gates traced_wall_seconds when
-     both sides measured it *)
-  let base =
-    snapshot [ row "gzipsim" "V2-F3" ] ~label:"v3" ~verify_runs:50 ~wall:1.0
-  in
-  let s = { base with Perf.traced_wall_seconds = 2.0 } in
-  let v3_line =
-    match Perf.to_json s with
-    | Exom_obs.Json.Obj fields ->
-      Exom_obs.Json.Obj
-        (List.filter_map
-           (fun (k, v) ->
-             match k with
-             | "traced_wall_seconds" -> None
-             | "version" -> Some (k, Exom_obs.Json.Num 3.0)
-             | _ -> Some (k, v))
-           fields)
-    | _ -> Alcotest.fail "snapshot did not serialize to an object"
-  in
-  match Perf.of_json v3_line with
-  | Error e -> Alcotest.fail ("v3 snapshot rejected: " ^ e)
-  | Ok v3 ->
-    Alcotest.(check (float 0.0)) "traced wall defaults to 0" 0.0
-      v3.Perf.traced_wall_seconds;
-    (* unmeasured baseline: the traced candidate is not flagged *)
-    let findings = Perf.compare ~tolerance:0.1 ~time_tolerance:0.5 v3 s in
-    Alcotest.(check bool) "no traced gate without both sides" false
-      (List.exists
-         (fun f -> f.Perf.metric = "traced_wall_seconds")
-         findings);
-    (* both measured: a large traced-pass slowdown is flagged loosely *)
-    let slow = { s with Perf.traced_wall_seconds = 9.0 } in
-    let findings = Perf.compare ~tolerance:0.1 ~time_tolerance:0.5 s slow in
-    Alcotest.(check bool) "traced slowdown beyond tolerance flagged" true
-      (List.exists
-         (fun f ->
-           f.Perf.metric = "traced_wall_seconds"
-           && f.Perf.severity = Perf.Regression)
-         findings)
-
-let test_perf_warm_regression () =
-  let old_s =
-    snapshot [ row "gzipsim" "V2-F3" ] ~label:"old" ~verify_runs:100 ~wall:1.0
-  in
-  (* warm hit rate collapse is a regression *)
-  let cold_cache =
-    snapshot
-      ~warm_hit_rate:0.4
-      [ row "gzipsim" "V2-F3" ]
-      ~label:"new" ~verify_runs:100 ~wall:1.0
-  in
-  let findings =
-    Perf.compare ~tolerance:0.1 ~time_tolerance:0.5 old_s cold_cache
-  in
-  Alcotest.(check bool) "warm hit rate collapse flagged" true
-    (Perf.has_regression findings);
-  Alcotest.(check bool) "named in the findings" true
-    (contains (Perf.render findings) "warm_hit_rate");
-  (* new switched runs in the warm pass are a regression even from a
-     zero baseline *)
-  let leaky =
-    snapshot
-      ~warm_verify_runs:7
-      [ row "gzipsim" "V2-F3" ]
-      ~label:"new" ~verify_runs:100 ~wall:1.0
-  in
-  let findings = Perf.compare ~tolerance:0.1 ~time_tolerance:0.5 old_s leaky in
-  Alcotest.(check bool) "warm dispatches flagged" true
-    (Perf.has_regression findings);
-  Alcotest.(check bool) "warm_verify_runs named" true
-    (contains (Perf.render findings) "warm_verify_runs");
-  (* a better warm rate is an improvement, not a regression *)
-  let better =
-    snapshot
-      ~warm_hit_rate:1.0
-      [ row "gzipsim" "V2-F3" ]
-      ~label:"new" ~verify_runs:100 ~wall:1.0
-  in
-  let findings = Perf.compare ~tolerance:0.03 ~time_tolerance:0.5 old_s better in
-  Alcotest.(check bool) "warm improvement is not a regression" false
-    (Perf.has_regression findings)
-
-let test_perf_compare () =
-  let old_s =
-    snapshot [ row "gzipsim" "V2-F3" ] ~label:"old" ~verify_runs:100 ~wall:1.0
-  in
-  (* within tolerance: nothing flagged *)
-  let same =
-    snapshot [ row "gzipsim" "V2-F3" ] ~label:"new" ~verify_runs:105 ~wall:1.1
-  in
-  let findings = Perf.compare ~tolerance:0.1 ~time_tolerance:0.5 old_s same in
-  Alcotest.(check bool) "small drift tolerated" false
-    (Perf.has_regression findings);
-  (* deterministic count growth beyond tolerance *)
-  let slow =
-    snapshot [ row "gzipsim" "V2-F3" ] ~label:"new" ~verify_runs:150 ~wall:1.0
-  in
-  let findings = Perf.compare ~tolerance:0.1 ~time_tolerance:0.5 old_s slow in
-  Alcotest.(check bool) "count growth flagged" true
-    (Perf.has_regression findings);
-  Alcotest.(check bool) "rendered with the metric name" true
-    (contains (Perf.render findings) "verify_runs");
-  (* a previously located fault now missed *)
-  let missed =
-    snapshot
-      [ row ~found:false "gzipsim" "V2-F3" ]
-      ~label:"new" ~verify_runs:100 ~wall:1.0
-  in
-  let findings = Perf.compare ~tolerance:0.1 ~time_tolerance:0.5 old_s missed in
-  Alcotest.(check bool) "lost localization flagged" true
-    (Perf.has_regression findings);
-  (* improvements are Info, not regressions *)
-  let faster =
-    snapshot [ row "gzipsim" "V2-F3" ] ~label:"new" ~verify_runs:50 ~wall:1.0
-  in
-  let findings = Perf.compare ~tolerance:0.1 ~time_tolerance:0.5 old_s faster in
-  Alcotest.(check bool) "improvement is not a regression" false
-    (Perf.has_regression findings);
-  Alcotest.(check bool) "improvement is still reported" true (findings <> [])
-
-let test_perf_corpus_leg () =
-  let leg located =
-    {
-      Perf.c_seed = 1;
-      c_count = 10;
-      c_located = located;
-      c_total = 10;
-      c_failed = 0;
-      c_mean_iterations = 0.5;
-      c_mean_verifications = 2.25;
-      c_wall_seconds = 3.0;
-    }
-  in
-  let with_leg l s = { s with Perf.corpus = l } in
-  let old_s =
-    with_leg (Some (leg 10))
-      (snapshot [ row "gzipsim" "V2-F3" ] ~label:"old" ~verify_runs:100
-         ~wall:1.0)
-  in
-  (* the leg round-trips byte-for-byte *)
-  (match Perf.of_json (Perf.to_json old_s) with
-  | Error e -> Alcotest.fail ("corpus snapshot does not read back: " ^ e)
-  | Ok s' ->
-    Alcotest.(check string) "re-serialization is identity" (Perf.to_line old_s)
-      (Perf.to_line s'));
-  (* a located drop on the same (seed, count) is a regression *)
-  let worse = with_leg (Some (leg 8)) old_s in
-  let findings = Perf.compare ~tolerance:0.1 ~time_tolerance:0.5 old_s worse in
-  Alcotest.(check bool) "corpus located drop flagged" true
-    (Perf.has_regression findings);
-  Alcotest.(check bool) "corpus.located named" true
-    (contains (Perf.render findings) "corpus.located");
-  (* a different corpus is no baseline: nothing to compare *)
-  let other = with_leg (Some { (leg 8) with Perf.c_seed = 2 }) old_s in
-  let findings = Perf.compare ~tolerance:0.1 ~time_tolerance:0.5 old_s other in
-  Alcotest.(check bool) "foreign corpus not compared" false
-    (Perf.has_regression findings);
-  (* a v2 baseline without the leg is no baseline either *)
-  let v2 = with_leg None old_s in
-  let findings = Perf.compare ~tolerance:0.1 ~time_tolerance:0.5 v2 old_s in
-  Alcotest.(check bool) "missing baseline leg tolerated" false
-    (Perf.has_regression findings)
-
 let () =
   Alcotest.run "ledger"
     [
@@ -658,18 +407,5 @@ let () =
             test_explain_flex;
           Alcotest.test_case "sedsim V3-F2 names the root" `Quick
             test_explain_sed;
-        ] );
-      ( "perf",
-        [
-          Alcotest.test_case "snapshot round-trip" `Quick test_perf_roundtrip;
-          Alcotest.test_case "v1 snapshot compatibility" `Quick
-            test_perf_v1_compat;
-          Alcotest.test_case "v3 compatibility and traced gate" `Quick
-            test_perf_v3_compat_and_traced_gate;
-          Alcotest.test_case "regression comparator" `Quick test_perf_compare;
-          Alcotest.test_case "warm-store regression gates" `Quick
-            test_perf_warm_regression;
-          Alcotest.test_case "corpus leg round-trip and gates" `Quick
-            test_perf_corpus_leg;
         ] );
     ]

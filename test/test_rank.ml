@@ -197,40 +197,50 @@ let static_config = { Demand.default_config with Demand.ranking = None }
 
 let test_suite_safety () =
   (* every fault the static order locates, the ranked order locates;
-     and ranked never does more switched work than static *)
+     and ranked never does more switched work, nor asks more
+     verification queries, than static *)
   List.iter
     (fun (bench, fault) ->
-      let s = run_fault ~config:static_config ~jobs:2 bench fault in
-      let r = run_fault ~jobs:2 bench fault in
+      let report ?config () =
+        (run_fault ?config ~jobs:2 bench fault).Runner.report
+      in
+      let s = report ~config:static_config () and r = report () in
       let name = bench.B.name ^ " " ^ fault.B.fid in
       Alcotest.(check bool)
         (name ^ ": ranked locates whatever static locates")
         true
-        ((not s.Runner.report.Demand.found) || r.Runner.report.Demand.found);
+        ((not s.Demand.found) || r.Demand.found);
       Alcotest.(check bool)
         (name ^ ": ranked verifications never exceed static")
         true
-        (r.Runner.report.Demand.verifications
-        <= s.Runner.report.Demand.verifications))
+        (r.Demand.verifications <= s.Demand.verifications);
+      Alcotest.(check bool)
+        (name ^ ": ranked queries never exceed static")
+        true
+        (r.Demand.verify_queries <= s.Demand.verify_queries))
     Suite.rows
 
 let test_corpus_safety_sweep () =
   (* the fixed-seed 30-triple corpus: no fault located under the static
-     order becomes NOT_ID under ranked early exit *)
+     order becomes NOT_ID under ranked early exit, and ranked does no
+     more summed switched work or iterations than static *)
   let manifest = Campaign.generate ~seed:1 ~count:30 () in
-  let located_ids config =
+  let campaign config =
     with_temp_dir (fun dir ->
         let rows, missing =
           Campaign.run_local ?config ~jobs:2 ~dir ~manifest ~shards:1 ()
         in
         Alcotest.(check (list string)) "no missing rows" [] missing;
-        List.filter_map
-          (fun r ->
-            if Campaign.located r then Some r.Campaign.o_id else None)
-          rows)
+        rows)
   in
-  let static_ids = located_ids (Some static_config) in
-  let ranked_ids = located_ids None in
+  let static_rows = campaign (Some static_config) in
+  let ranked_rows = campaign None in
+  let located rows =
+    List.filter_map
+      (fun r -> if Campaign.located r then Some r.Campaign.o_id else None)
+      rows
+  in
+  let static_ids = located static_rows and ranked_ids = located ranked_rows in
   Alcotest.(check bool) "the static leg locates something" true
     (static_ids <> []);
   List.iter
@@ -239,7 +249,17 @@ let test_corpus_safety_sweep () =
         (id ^ " located statically is located ranked")
         true
         (List.mem id ranked_ids))
-    static_ids
+    static_ids;
+  List.iter
+    (fun key ->
+      let sum rows =
+        List.fold_left (fun a r -> a + Campaign.count r key) 0 rows
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "ranked summed %s never exceed static" key)
+        true
+        (sum ranked_rows <= sum static_rows))
+    [ "verifications"; "iterations" ]
 
 let rank_lines ledger =
   String.split_on_char '\n' (Ledger.to_string ledger)

@@ -609,51 +609,39 @@ let full_sig (r : Runner.result) =
   ( locate_sig r, rep.Demand.verifications, rep.Demand.verify_queries,
     rep.Demand.robustness, rep.Demand.failures )
 
-(* grep V4-F2 is the suite's heaviest locate (it also exercises
-   switched-run dedup: more queries than runs); gzip V2-F9 dedups
-   hardest. *)
-let determinism_rows =
-  [ ("grepsim", "V4-F2"); ("gzipsim", "V2-F9"); ("sedsim", "V3-F2") ]
-
+(* Every suite fault: the determinism contract holds row by row. *)
 let test_j1_vs_j4 () =
   let p1 = Pool.create ~jobs:1 () in
   let p4 = Pool.create ~jobs:4 () in
   List.iter
-    (fun (name, fid) ->
-      let b, f = fault_of name fid in
+    (fun (b, f) ->
+      let name = b.B.name ^ " " ^ f.B.fid in
       let seq = Runner.run_fault ~pool:p1 b f in
       let par = Runner.run_fault ~pool:p4 b f in
-      Alcotest.(check bool)
-        (Printf.sprintf "%s %s: -j1 = -j4" name fid)
-        true
+      Alcotest.(check bool) (name ^ ": -j1 = -j4") true
         (full_sig seq = full_sig par);
-      Alcotest.(check bool)
-        (Printf.sprintf "%s %s locates" name fid)
-        true seq.Runner.report.Demand.found)
-    determinism_rows;
+      Alcotest.(check bool) (name ^ " locates") true
+        seq.Runner.report.Demand.found)
+    Suite.rows;
   Pool.shutdown p1;
   Pool.shutdown p4
 
 let test_warm_vs_cold () =
   let pool = Pool.create ~jobs:2 () in
   List.iter
-    (fun (name, fid) ->
-      let b, f = fault_of name fid in
+    (fun (b, f) ->
+      let name = b.B.name ^ " " ^ f.B.fid in
       let store = Store.create () in
       let cold = Runner.run_fault ~pool ~store b f in
       let warm = Runner.run_fault ~pool ~store b f in
-      Alcotest.(check bool)
-        (Printf.sprintf "%s %s: warm = cold localization" name fid)
-        true
+      Alcotest.(check bool) (name ^ ": warm = cold localization") true
         (locate_sig cold = locate_sig warm);
-      Alcotest.(check int)
-        (Printf.sprintf "%s %s: warm run re-executes nothing" name fid)
-        0 warm.Runner.report.Demand.verifications;
-      Alcotest.(check int)
-        (Printf.sprintf "%s %s: every warm query a hit" name fid)
+      Alcotest.(check int) (name ^ ": warm run re-executes nothing") 0
+        warm.Runner.report.Demand.verifications;
+      Alcotest.(check int) (name ^ ": every warm query a hit")
         warm.Runner.report.Demand.verify_queries
         warm.Runner.report.Demand.store.Store.hits)
-    determinism_rows;
+    Suite.rows;
   Pool.shutdown pool
 
 let test_persistent_warm_across_stores () =
