@@ -428,17 +428,13 @@ let baseline () =
   | Ok (_, Some _) -> Alcotest.fail "the committed baseline is torn"
   | Error e -> Alcotest.fail e
 
-let test_regress_directions () =
-  let base = baseline () in
-  let drift newer = Metrics.drift ~direction_of:Perf.direction base newer in
-  Alcotest.(check bool) "the baseline holds counters only" true
-    (List.for_all
-       (fun m -> m.Metrics.kind = Metrics.Counter)
-       (Metrics.to_list base));
-  Alcotest.(check bool) "the baseline does not drift from itself" false
-    (Metrics.has_drift (drift (baseline ())));
-  (* each case moves one counter of a fresh copy by [delta]; that
-     counter must be the only finding, breaching as [breach] says *)
+let drift newer =
+  Metrics.drift ~direction_of:Perf.direction (baseline ()) newer
+
+(* Each case moves one counter of a fresh copy of the baseline by
+   [delta]; that counter must be the only finding, breaching as
+   [breach] says. *)
+let check_moves cases =
   List.iter
     (fun (what, name, delta, breach) ->
       let doctored = baseline () in
@@ -451,12 +447,54 @@ let test_regress_directions () =
           f.Metrics.d_name;
         Alcotest.(check bool) what breach f.Metrics.d_breach
       | fs -> Alcotest.failf "%s: %d findings, expected 1" what (List.length fs))
+    cases
+
+let test_regress_directions () =
+  Alcotest.(check bool) "the baseline holds counters only" true
+    (List.for_all
+       (fun m -> m.Metrics.kind = Metrics.Counter)
+       (Metrics.to_list (baseline ())));
+  Alcotest.(check bool) "the baseline does not drift from itself" false
+    (Metrics.has_drift (drift (baseline ())));
+  check_moves
     [ ("a count that grows breaches", "suite.grepsim.V4-F2.queries", 1, true);
       ("a count that falls is listed", "suite.queries", -1, false);
-      ("found 1 -> 0 breaches", "suite.gzipsim.V2-F3.found", -1, true);
-      ("warm switched runs 0 -> 7 breach", "warm.switched_runs", 7, true);
+      ("found 1 -> 0 breaches", "suite.gzipsim.V2-F3.found", -1, true) ]
+
+let test_warm_regression () =
+  (* the warm pass answers every query from the store: new switched
+     runs breach even from a zero baseline, and so do falling hits *)
+  check_moves
+    [ ("warm switched runs 0 -> 7 breach", "warm.switched_runs", 7, true);
       ("warm hits falling breach", "warm.hits", -1, true);
-      ("corpus located -1 breaches", "corpus.located", -1, true);
+      ("warm hits rising is listed", "warm.hits", 1, false) ]
+
+let test_corpus_leg () =
+  (* the corpus leg survives the exom.obs codec counter for counter *)
+  let path = Filename.temp_file "exom_perf" ".jsonl" in
+  let written = baseline () in
+  (match Exom_obs.Export.write_metrics path written with
+  | Ok () -> ()
+  | Error _ -> Alcotest.fail "the snapshot could not be written");
+  let content = In_channel.with_open_bin path In_channel.input_all in
+  Sys.remove path;
+  (match Exom_obs.Export.metrics_of_jsonl content with
+  | Ok (read, None) ->
+    List.iter
+      (fun name ->
+        Alcotest.(check int) (name ^ " reads back")
+          (Metrics.counter_value written name)
+          (Metrics.counter_value read name))
+      [ "corpus.seed"; "corpus.count"; "corpus.located"; "corpus.total";
+        "corpus.failed"; "corpus.iterations"; "corpus.verifications" ];
+    Alcotest.(check bool) "the read-back snapshot does not drift" false
+      (Metrics.has_drift (drift read))
+  | Ok (_, Some _) -> Alcotest.fail "the written snapshot reads back torn"
+  | Error e -> Alcotest.fail e);
+  (* another corpus is another baseline: any change to its seed or
+     size breaches, as does a located drop on the same corpus *)
+  check_moves
+    [ ("corpus located -1 breaches", "corpus.located", -1, true);
       ("another corpus seed breaches", "corpus.seed", 1, true);
       ("a smaller corpus breaches", "corpus.count", -10, true) ]
 
@@ -501,4 +539,7 @@ let () =
           slow "union-graph condition (iv)" test_union_graph_backend;
           slow "critical-predicate search fails where demand succeeds"
             test_critical_search_comparison ] );
-      ("perf", [ tc "regression comparator" test_regress_directions ]) ]
+      ( "perf",
+        [ tc "regression comparator" test_regress_directions;
+          tc "warm-store regression gates" test_warm_regression;
+          tc "corpus leg round-trip and gates" test_corpus_leg ] ) ]
