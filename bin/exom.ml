@@ -1,7 +1,7 @@
 (* exom: the command-line front end.
 
    Subcommands:
-     run     execute an MCL program (optionally dumping the trace)
+     run     execute an MCL program (optionally tracing it)
      info    front-end and static-analysis facts about a program
      slice   dynamic slice of one output
      rslice  relevant slice of one output (potential dependences)
@@ -13,13 +13,12 @@
      regions the execution's region decomposition (Definition 3)
      bench   run one benchmark fault (or, with --all, the whole suite:
              the paper's tables and a count-only perf snapshot;
-             --export writes the fault's sources/input for exom client)
+             --export writes the fault's sources and input as files)
      regress gate a perf snapshot against a baseline (Metrics.drift)
      stats   pretty-print one --metrics-out event log, or diff two
-     serve   localization daemon over a Unix-domain socket (crash-safe:
-             accepted requests survive SIGKILL; --resume replays them)
-     client  send one localization request to a daemon (--stress N for
-             N concurrent clients)
+     audit   compare two runs' artifacts: span spine, metric drift and
+             ledger events
+     trace   operate on trace exports (trace spine)
      corpus  corpus factory: gen (seeded manifest of validated omission
              faults), run (sharded campaign, crash-safe resume), report,
              mine (feature tables), seed (inject one fault in a file)
@@ -109,17 +108,11 @@ let output_index_arg =
 (* run *)
 
 let run_cmd =
-  let action file input text tracing dump_trace =
+  let action file input text tracing =
     let* prog = compile_file file in
     let* input = resolve_input input text in
-    let tracing = tracing || dump_trace <> None in
     let run = Interp.run ~tracing prog ~input in
     List.iter (fun (_, v) -> Printf.printf "%d\n" v) run.Interp.outputs;
-    (match (dump_trace, run.Interp.trace) with
-    | Some path, Some t ->
-      Exom_interp.Trace_io.save path t;
-      Printf.eprintf "trace written to %s\n" path
-    | _ -> ());
     match run.Interp.outcome with
     | Ok () ->
       (match run.Interp.trace with
@@ -138,16 +131,9 @@ let run_cmd =
   let tracing =
     Arg.(value & flag & info [ "trace" ] ~doc:"Collect an execution trace")
   in
-  let dump_trace =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "dump-trace" ] ~docv:"FILE"
-          ~doc:"Write the execution trace to FILE (implies --trace)")
-  in
   Cmd.v
     (Cmd.info "run" ~doc:"Execute an MCL program")
-    Term.(const action $ file_arg $ input_arg $ text_arg $ tracing $ dump_trace)
+    Term.(const action $ file_arg $ input_arg $ text_arg $ tracing)
 
 (* info *)
 
@@ -806,12 +792,9 @@ let bench_suite jobs corpus_count no_rank metrics_out =
     metrics_out;
   0
 
-(* --export: materialize one fault as files so external drivers (the
-   serve-stress CI job, exom client) can feed it back without linking
-   the suite. *)
-(* The machine-readable side of --export: external drivers (the corpus
-   campaign runner, the serve-stress CI job) consume the fixture without
-   hardcoding file names. *)
+(* --export materializes one fault as files, so [exom locate] or a
+   script can reproduce it without linking the suite; fixtures.json is
+   the machine-readable index of those files. *)
 let fixtures_manifest entries =
   Json.to_string
     (Json.Obj
@@ -972,7 +955,7 @@ let bench_cmd =
             "Instead of running the fault, write its materials to DIR: \
              $(b,faulty.mc), $(b,correct.mc), $(b,input.txt) (failing \
              input as integers) and $(b,root_line.txt) — the files \
-             $(b,exom client) and $(b,exom locate) need to reproduce it")
+             $(b,exom locate) needs to reproduce it")
   in
   let corpus_arg =
     Arg.(
@@ -1107,267 +1090,6 @@ let stats_cmd =
           diff two of them")
     Term.(const action $ stats_file_arg $ stats_file2_arg $ no_timings_arg)
 
-(* serve *)
-
-module Serve = Exom_serve.Serve
-module Proto = Exom_serve.Proto
-module Client = Exom_serve.Client
-
-let serve_cmd =
-  let action state socket jobs queue_limit shards lease retries resume trace =
-    if queue_limit < 1 then begin
-      prerr_endline "exom serve: --queue-limit must be >= 1";
-      1
-    end
-    else if retries < 0 then begin
-      prerr_endline "exom serve: --request-retries must be >= 0";
-      1
-    end
-    else begin
-      let socket_path =
-        match socket with
-        | Some s -> s
-        | None -> Filename.concat state "exom.sock"
-      in
-      let base = Serve.default_config ~socket_path ~state_dir:state in
-      let jobs =
-        match jobs with None -> base.Serve.jobs | Some j -> j
-      in
-      Serve.run
-        {
-          base with
-          Serve.jobs;
-          queue_limit;
-          shards;
-          lease;
-          request_retries = retries;
-          resume;
-          trace;
-        }
-    end
-  in
-  let state_arg =
-    Arg.(
-      required
-      & opt (some string) None
-      & info [ "state" ] ~docv:"DIR"
-          ~doc:
-            "Daemon state directory (created if missing): accepted \
-             requests, their journaled ledgers and the shared sharded \
-             verdict store live under it, so a killed daemon restarted \
-             with $(b,--resume) replays every in-flight request")
-  in
-  let socket_opt_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "socket" ] ~docv:"PATH"
-          ~doc:"Unix-domain socket to listen on (default DIR/exom.sock)")
-  in
-  let queue_limit_arg =
-    Arg.(
-      value & opt int 64
-      & info [ "queue-limit" ] ~docv:"N"
-          ~doc:
-            "Bounded request queue: further locate requests are shed \
-             with an explicit reply instead of growing memory")
-  in
-  let shards_arg =
-    Arg.(
-      value & opt int Store.default_shards
-      & info [ "shards" ] ~docv:"N"
-          ~doc:
-            "Store partition count for a fresh store directory (an \
-             existing store's manifest wins)")
-  in
-  let lease_arg =
-    Arg.(
-      value & opt float Store.default_lease
-      & info [ "lease" ] ~docv:"SECONDS"
-          ~doc:
-            "Store writer-lock lease: a shard lock older than this is \
-             stolen, so a crashed writer never wedges the cache")
-  in
-  let retries_arg =
-    Arg.(
-      value & opt int 2
-      & info [ "request-retries" ] ~docv:"N"
-          ~doc:
-            "Re-runs of a request whose localization came back DEGRADED \
-             (transient worker kills), with exponential backoff")
-  in
-  let resume_flag =
-    Arg.(
-      value & flag
-      & info [ "resume" ]
-          ~doc:
-            "Replay journaled in-flight requests from the state \
-             directory before accepting new ones; each replays to a \
-             ledger byte-identical to an uninterrupted run")
-  in
-  let trace_flag =
-    Arg.(
-      value & flag
-      & info [ "trace" ]
-          ~doc:
-            "Record a span tree per request and export it as a Chrome \
-             trace under DIR/traces/<fingerprint>.trace.json, keyed by \
-             the request fingerprint for cross-run auditing")
-  in
-  Cmd.v
-    (Cmd.info "serve"
-       ~doc:
-         "Localization daemon: concurrent requests over a Unix-domain \
-          socket, one shared sharded verdict store, crash-safe journaling")
-    Term.(
-      const action $ state_arg $ socket_opt_arg $ jobs_arg $ queue_limit_arg
-      $ shards_arg $ lease_arg $ retries_arg $ resume_flag $ trace_flag)
-
-(* client *)
-
-let client_cmd =
-  let print_served (s : Proto.served) =
-    print_string s.Proto.sv_report;
-    Printf.eprintf "fingerprint %s\nledger %s%s\n" s.Proto.sv_fingerprint
-      s.Proto.sv_ledger
-      (if s.Proto.sv_replayed then " (replayed from journal)" else "")
-  in
-  let action file correct_file input text root_line deadline socket stress ping
-      stats =
-    if ping then begin
-      match Client.request ~socket Proto.Ping with
-      | Ok Proto.Pong ->
-        print_endline "pong";
-        0
-      | Ok _ ->
-        prerr_endline "unexpected reply to ping";
-        1
-      | Error e ->
-        prerr_endline e;
-        1
-    end
-    else if stats then begin
-      match Client.request ~socket Proto.Stats with
-      | Ok (Proto.Counters kvs) ->
-        List.iter (fun (k, v) -> Printf.printf "%-18s %d\n" k v) kvs;
-        0
-      | Ok _ ->
-        prerr_endline "unexpected reply to stats";
-        1
-      | Error e ->
-        prerr_endline e;
-        1
-    end
-    else
-      match (file, correct_file) with
-      | None, _ | _, None ->
-        prerr_endline
-          "exom client: need FILE and --correct FILE (or --ping / --stats)";
-        1
-      | Some file, Some correct_file -> (
-        match (read_file file, read_file correct_file) with
-        | exception Sys_error e ->
-          prerr_endline e;
-          1
-        | program, correct -> (
-          let* input = resolve_input input text in
-          let locate =
-            {
-              Proto.lc_program = program;
-              lc_correct = correct;
-              lc_input = input;
-              lc_root_line = root_line;
-              lc_deadline = deadline;
-            }
-          in
-          match stress with
-          | Some n ->
-            let r = Client.stress ~socket ~clients:n [ locate ] in
-            Printf.printf
-              "stress: %d client(s): %d served (%d replayed), %d shed, %d \
-               failed, %d transport errors\n"
-              n r.Client.st_served r.Client.st_replayed r.Client.st_shed
-              r.Client.st_failed r.Client.st_errors;
-            if r.Client.st_failed = 0 && r.Client.st_errors = 0 then 0 else 1
-          | None -> (
-            match Client.request ~socket (Proto.Locate locate) with
-            | Ok (Proto.Served s) ->
-              print_served s;
-              0
-            | Ok (Proto.Shed reason) ->
-              Printf.eprintf "shed by the daemon: %s\n" reason;
-              2
-            | Ok (Proto.Failed reason) ->
-              Printf.eprintf "request failed: %s\n" reason;
-              1
-            | Ok (Proto.Pong | Proto.Counters _) ->
-              prerr_endline "unexpected reply";
-              1
-            | Error e ->
-              prerr_endline e;
-              1)))
-  in
-  let opt_file_arg =
-    Arg.(
-      value
-      & pos 0 (some file) None
-      & info [] ~docv:"FILE" ~doc:"Faulty MCL source to localize")
-  in
-  let correct_arg =
-    Arg.(
-      value
-      & opt (some file) None
-      & info [ "correct" ] ~docv:"FILE" ~doc:"The corrected program (the oracle)")
-  in
-  let root_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "root-line" ] ~docv:"LINE"
-          ~doc:"Ground-truth fault line (stops the search when reached)")
-  in
-  let deadline_arg =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "deadline" ] ~docv:"SECONDS"
-          ~doc:
-            "Per-request deadline, enforced by the daemon (verification \
-             escalation stops; a request stale in the queue is shed)")
-  in
-  let socket_arg =
-    Arg.(
-      required
-      & opt (some string) None
-      & info [ "socket" ] ~docv:"PATH" ~doc:"The daemon's Unix-domain socket")
-  in
-  let stress_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "stress" ] ~docv:"N"
-          ~doc:
-            "Fire the request from N concurrent connections (one domain \
-             each) and tally served/shed/failed")
-  in
-  let ping_flag =
-    Arg.(value & flag & info [ "ping" ] ~doc:"Liveness probe: expect pong")
-  in
-  let stats_flag =
-    Arg.(
-      value & flag
-      & info [ "stats" ] ~doc:"Print the daemon's request counters")
-  in
-  Cmd.v
-    (Cmd.info "client"
-       ~doc:
-         "Send one localization request to an $(b,exom serve) daemon \
-          (--stress N for N concurrent clients)")
-    Term.(
-      const action $ opt_file_arg $ correct_arg $ input_arg $ text_arg
-      $ root_arg $ deadline_arg $ socket_arg $ stress_arg $ ping_flag
-      $ stats_flag)
-
 (* corpus *)
 
 module Factory = Exom_corpus.Factory
@@ -1455,7 +1177,7 @@ let corpus_gen_cmd =
       $ out_arg)
 
 let corpus_run_cmd =
-  let action manifest_path dir shards jobs resume socket =
+  let action manifest_path dir shards jobs resume =
     match Campaign.load_manifest manifest_path with
     | Error e ->
       Printf.eprintf "%s: %s\n" manifest_path e;
@@ -1482,8 +1204,7 @@ let corpus_run_cmd =
       let run_one shard =
         try
           ignore
-            (Campaign.run_shard ?jobs ?socket ~dir ~manifest ~shard ~shards
-               ~skip ())
+            (Campaign.run_shard ?jobs ~dir ~manifest ~shard ~shards ~skip ())
         with e ->
           Printf.eprintf "shard %d failed: %s\n%!" shard (Printexc.to_string e);
           incr failed
@@ -1500,8 +1221,8 @@ let corpus_run_cmd =
                 let code =
                   try
                     ignore
-                      (Campaign.run_shard ?jobs ?socket ~dir ~manifest ~shard
-                         ~shards ~skip ());
+                      (Campaign.run_shard ?jobs ~dir ~manifest ~shard ~shards
+                         ~skip ());
                     0
                   with e ->
                     Printf.eprintf "shard %d failed: %s\n%!" shard
@@ -1562,15 +1283,6 @@ let corpus_run_cmd =
             "Keep rows already journaled under --dir and re-run only the \
              missing triples (replaying complete per-triple journals)")
   in
-  let socket_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "socket" ] ~docv:"PATH"
-          ~doc:
-            "Run triples through the exom serve daemon listening on PATH \
-             instead of in-process")
-  in
   Cmd.v
     (Cmd.info "run"
        ~doc:
@@ -1579,7 +1291,7 @@ let corpus_run_cmd =
           resumable (--resume)")
     Term.(
       const action $ manifest_arg $ dir_arg $ shards_arg $ jobs_arg
-      $ resume_flag $ socket_arg)
+      $ resume_flag)
 
 let corpus_rows_of_path path =
   let file =
@@ -2087,5 +1799,4 @@ let () =
           (Cmd.info "exom" ~version:"1.0.0" ~doc)
           [ run_cmd; info_cmd; slice_cmd; rslice_cmd; locate_cmd; explain_cmd;
             recover_cmd; dot_cmd; regions_cmd; bench_cmd; regress_cmd;
-            stats_cmd; audit_cmd; trace_cmd; serve_cmd; client_cmd;
-            corpus_cmd; chaos_cmd ]))
+            stats_cmd; audit_cmd; trace_cmd; corpus_cmd; chaos_cmd ]))

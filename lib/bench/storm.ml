@@ -101,7 +101,7 @@ let fixture (name, fid) =
     fx_roots = Bench_types.root_sids bench fault faulty;
   }
 
-(* One journaled localization through the pipeline the CLI, daemon and
+(* One journaled localization through the pipeline the CLI and the
    campaign run.  Returns the canonical ledger, the report and the
    ledger's absorbed journal-failure count. *)
 let journaled_run ?plan ?store ?chaos ~jobs fx journal =

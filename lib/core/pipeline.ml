@@ -108,7 +108,14 @@ let store_line (st : Store.stats) =
     (100.0 *. Store.hit_rate st)
     st.Store.writes st.Store.evictions st.Store.corrupted
 
-let operational_lines b pool (report : Demand.report) =
+let report_text ~pool info (report : Demand.report) ~root_line =
+  let b = Buffer.create 256 in
+  Printf.bprintf b
+    "verifications: %d (of %d queries), iterations: %d, implicit edges: %d, \
+     user prunings: %d\n"
+    report.Demand.verifications report.Demand.verify_queries
+    report.Demand.iterations report.Demand.expanded_edges
+    report.Demand.user_prunings;
   let sup = Pool.supervision pool in
   Printf.bprintf b "scheduler: %d job(s)%s\n" (Pool.jobs pool)
     (if sup.Pool.degraded then
@@ -131,17 +138,7 @@ let operational_lines b pool (report : Demand.report) =
   List.iter
     (fun (sid, f) ->
       Printf.bprintf b "  s%-4d %s\n" sid (Guard.failure_to_string f))
-    report.Demand.failures
-
-let report_text ?pool info (report : Demand.report) ~root_line =
-  let b = Buffer.create 256 in
-  Printf.bprintf b
-    "verifications: %d (of %d queries), iterations: %d, implicit edges: %d, \
-     user prunings: %d\n"
-    report.Demand.verifications report.Demand.verify_queries
-    report.Demand.iterations report.Demand.expanded_edges
-    report.Demand.user_prunings;
-  Option.iter (fun pool -> operational_lines b pool report) pool;
+    report.Demand.failures;
   Option.iter
     (fun line ->
       Printf.bprintf b "root cause (line %d) %s\n" line
@@ -155,3 +152,29 @@ let report_text ?pool info (report : Demand.report) ~root_line =
         (Exom_lang.Pretty.stmt_head stmt))
     (Slice.sids report.Demand.ips);
   Buffer.contents b
+
+(* The structured counterpart of [report_text]: every deterministic
+   counter of a locate report, keyed for machine consumers (the corpus
+   campaign builds its outcome rows from exactly these keys). *)
+let counts_of_report (report : Demand.report) =
+  let g = report.Demand.robustness and s = report.Demand.store in
+  [
+    ("iterations", report.Demand.iterations);
+    ("verifications", report.Demand.verifications);
+    ("verify_queries", report.Demand.verify_queries);
+    ("expanded_edges", report.Demand.expanded_edges);
+    ("implicit_edges", List.length report.Demand.implicit_edges);
+    ("user_prunings", report.Demand.user_prunings);
+    ("total_prunings", report.Demand.total_prunings);
+    ("benign", List.length report.Demand.benign);
+    ("completed", g.Guard.completed);
+    ("aborted", g.Guard.aborted);
+    ("breaker_trips", g.Guard.breaker_trips);
+    ("breaker_skips", g.Guard.breaker_skips);
+    ("quarantined", g.Guard.quarantined);
+    ("store_hits", s.Store.hits);
+    ("store_disk_hits", s.Store.disk_hits);
+    ("store_misses", s.Store.misses);
+    ("store_writes", s.Store.writes);
+    ("degraded", if report.Demand.degraded = None then 0 else 1);
+  ]

@@ -6,10 +6,9 @@
     and builds the benign-state {!Oracle}.  {!locate} primes a
     {!Recover} plan when one matches the session, attaches the
     write-ahead journal (with its resume marker), runs
-    {!Demand.locate} and closes the journal.  The CLI, the serve
-    daemon, the corpus campaign, the chaos storm and the bench runner
-    all run this sequence, so the code tests exercise is the code they
-    ship.
+    {!Demand.locate} and closes the journal.  The CLI, the corpus
+    campaign, the chaos storm and the bench runner all run this
+    sequence, so the code tests exercise is the code they ship.
 
     What differs between callers stays with them: spans around the
     calls, timers, the canonical ledger write and its error policy. *)
@@ -84,15 +83,17 @@ val locate :
 (** The store counters line of a report. *)
 val store_line : Exom_sched.Store.stats -> string
 
-(** The locate report text.  Without [pool] it is only the lines that
-    carry no wall-clock and no process state, which a daemon reply
-    carries: the counts, the verdict on [root_line] and the final
-    candidate set.  With [pool], the operational lines [exom locate]
-    prints follow the counts: scheduler, store, robustness and the
-    failure journal. *)
+(** The locate report text [exom locate] prints: the counts, the
+    operational lines (scheduler, store, robustness and the failure
+    journal), the verdict on [root_line] and the final candidate set. *)
 val report_text :
-  ?pool:Exom_sched.Pool.t ->
+  pool:Exom_sched.Pool.t ->
   Exom_cfg.Proginfo.t ->
   Demand.report ->
   root_line:int option ->
   string
+
+(** The structured counterpart of {!report_text}: every deterministic
+    count of a report, in a fixed key order.  The corpus campaign's
+    outcome rows carry exactly these keys. *)
+val counts_of_report : Demand.report -> (string * int) list

@@ -199,11 +199,3 @@ let verifications s = Exom_obs.Metrics.timer_count (Obs.metrics s.obs) "verify.r
 let verif_seconds s = Exom_obs.Metrics.timer_seconds (Obs.metrics s.obs) "verify.run"
 let verify_queries s = Exom_obs.Metrics.counter_value (Obs.metrics s.obs) "verify.queries"
 let store_stats s = Store.stats s.store
-
-(* The session's content identity.  Everything a verdict depends on
-   besides (mode, p, u) is already hashed into the store key prefix, so
-   the prefix doubles as a stable fingerprint of the localization
-   request itself: two sessions share it exactly when their verdicts
-   are interchangeable.  The serve daemon keys request journals and
-   dedup on it. *)
-let fingerprint s = s.key_prefix

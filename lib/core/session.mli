@@ -131,11 +131,3 @@ val verify_queries : t -> int
 
 (** Live counters of the session's verdict store. *)
 val store_stats : t -> Exom_sched.Store.stats
-
-(** The session's content identity: the store key prefix (a hex digest
-    of program, input, expected stream, budget and chaos).  Two
-    sessions share a fingerprint exactly when their cached verdicts are
-    interchangeable, so it also identifies a localization {e request} —
-    the serve daemon names request journals after it and uses it to
-    deduplicate repeated requests. *)
-val fingerprint : t -> string

@@ -4,9 +4,6 @@ module Pipeline = Exom_core.Pipeline
 module Ledger = Exom_ledger.Ledger
 module Store = Exom_sched.Store
 module Pool = Exom_sched.Pool
-module Proto = Exom_serve.Proto
-module Client = Exom_serve.Client
-module Serve = Exom_serve.Serve
 module Metrics = Exom_obs.Metrics
 module Export = Exom_obs.Export
 module Vfs = Exom_util.Vfs
@@ -416,53 +413,7 @@ let run_triple ?config ?pool ~dir triple =
       | Error e -> note_io e);
       row
         (if report.Demand.found then "located" else "not_located")
-        (Serve.counts_of_report report))
-
-let run_triple_via ~socket triple =
-  let req =
-    Proto.Locate
-      {
-        Proto.lc_program = triple.t_faulty;
-        lc_correct = triple.t_correct;
-        lc_input = triple.t_input;
-        lc_root_line = Some triple.t_root_line;
-        lc_deadline = None;
-      }
-  in
-  let row status counts =
-    {
-      o_id = triple.t_id;
-      o_class = Seeder.class_to_string triple.t_class;
-      o_family = triple.t_family;
-      o_status = status;
-      o_counts = counts;
-      o_stmts = triple.t_stmts;
-      o_predicates = triple.t_predicates;
-      o_loc = triple.t_loc;
-    }
-  in
-  match Client.request ~socket req with
-  | Error e -> Error e
-  | Ok (Proto.Served s) ->
-    Ok
-      (row
-         (if s.Proto.sv_found then "located" else "not_located")
-         s.Proto.sv_counts)
-  | Ok (Proto.Shed reason) -> Error ("request shed: " ^ reason)
-  | Ok (Proto.Failed reason) ->
-    (* the daemon's explicit per-triple verdicts are rows, not campaign
-       failures: a no-divergence reply mirrors the in-process
-       No_failure and anything else is an error row *)
-    let no_failure_marker = "nothing to locate" in
-    let contains hay needle =
-      let nh = String.length hay and nn = String.length needle in
-      let rec scan i =
-        i + nn <= nh && (String.sub hay i nn = needle || scan (i + 1))
-      in
-      scan 0
-    in
-    Ok (row (if contains reason no_failure_marker then "no_failure" else "error") [])
-  | Ok Proto.Pong | Ok (Proto.Counters _) -> Error "unexpected reply kind"
+        (Pipeline.counts_of_report report))
 
 (* {2 Sharded campaign} *)
 
@@ -493,34 +444,23 @@ let append_row path row =
 let shard_slice manifest ~shard ~shards =
   List.filteri (fun i _ -> i mod shards = shard) manifest.m_triples
 
-let run_shard ?config ?jobs ?socket ~dir ~manifest ~shard ~shards ~skip () =
+let run_shard ?config ?jobs ~dir ~manifest ~shard ~shards ~skip () =
   ensure_layout dir;
   let triples =
     List.filter (fun t -> not (skip t.t_id)) (shard_slice manifest ~shard ~shards)
   in
   let journal = shard_journal dir shard in
-  let pool =
-    match socket with
-    | Some _ -> None
-    | None -> (
-      match jobs with
-      | Some j -> Some (Pool.create ~jobs:j ())
-      | None -> Some (Pool.default ()))
-  in
+  (* a shard owns only the pool it creates: without [jobs] the triples
+     fall back to the process-wide default pool, which later shards and
+     locates in this process still use *)
+  let pool = Option.map (fun jobs -> Pool.create ~jobs ()) jobs in
   Fun.protect
     ~finally:(fun () -> Option.iter Pool.shutdown pool)
     (fun () ->
       let rows =
         List.map
           (fun t ->
-            let row =
-              match socket with
-              | Some socket -> (
-                match run_triple_via ~socket t with
-                | Ok row -> row
-                | Error e -> failwith (Printf.sprintf "%s: %s" t.t_id e))
-              | None -> run_triple ?config ?pool ~dir t
-            in
+            let row = run_triple ?config ?pool ~dir t in
             append_row journal row;
             row)
           triples

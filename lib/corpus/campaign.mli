@@ -21,11 +21,11 @@
 
     {b Resume}: a re-run with [--resume] keeps every row already in a
     shard journal verbatim, replays any triple whose ledger journal is
-    complete, and re-runs the rest.  One documented wrinkle (shared with
-    [exom serve]): a triple killed {e mid-localization} re-runs against
-    whatever verdicts it had already persisted, so its store-tier row
-    counters can legitimately differ from an uninterrupted run's; every
-    other field, and every other row, is byte-identical. *)
+    complete, and re-runs the rest.  One documented wrinkle: a triple
+    killed {e mid-localization} re-runs against whatever verdicts it had
+    already persisted, so its store-tier row counters can legitimately
+    differ from an uninterrupted run's; every other field, and every
+    other row, is byte-identical. *)
 
 (** One corpus entry. *)
 type triple = {
@@ -82,7 +82,7 @@ type outcome = {
   o_status : string;
       (** ["located"] | ["not_located"] | ["no_failure"] | ["error"] *)
   o_counts : (string * int) list;
-      (** {!Exom_serve.Serve.counts_of_report} keys, fixed order *)
+      (** {!Exom_core.Pipeline.counts_of_report} keys, fixed order *)
   o_stmts : int;
   o_predicates : int;
   o_loc : int;
@@ -132,22 +132,16 @@ val run_triple :
   triple ->
   outcome
 
-(** Run one triple through a daemon at [socket] instead (the
-    campaign-over-daemon path); rows come from the reply's [sv_counts].
-    [Error] on transport failure. *)
-val run_triple_via :
-  socket:string -> triple -> (outcome, string) result
-
 (** [run_shard ~dir ~manifest ~shard ~shards ~skip ()] runs this
     shard's slice of the manifest (triples [i] with [i mod shards =
     shard], skipping ids in [skip]), appending each row to the shard
-    journal as it completes.  [jobs] sizes the worker pool ([None] =
-    {!Exom_sched.Pool.default}); [socket] routes execution through a
-    daemon instead of running in-process.  Returns the rows written. *)
+    journal as it completes.  With [jobs], the shard creates a worker
+    pool of that size and shuts it down when it ends; without, the
+    triples run on {!Exom_sched.Pool.default}, which stays up.  Returns
+    the rows written. *)
 val run_shard :
   ?config:Exom_core.Demand.config ->
   ?jobs:int ->
-  ?socket:string ->
   dir:string ->
   manifest:manifest ->
   shard:int ->

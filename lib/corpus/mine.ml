@@ -1,7 +1,5 @@
 module Json = Exom_obs.Json
-
-let schema_name = "exom.corpus.mine"
-let schema_version = 1
+module Rank = Exom_rank.Rank
 
 type bucket = {
   b_key : string;
@@ -68,24 +66,6 @@ let group key_of rows =
   |> List.sort (fun (a, _) (b, _) -> compare a b)
   |> List.map (fun (k, rs) -> bucket_of k rs)
 
-let size_bucket (o : Campaign.outcome) =
-  let s = o.Campaign.o_stmts in
-  if s <= 10 then "stmts<=10"
-  else if s <= 20 then "stmts11-20"
-  else if s <= 40 then "stmts21-40"
-  else "stmts>40"
-
-let density_bucket (o : Campaign.outcome) =
-  if o.Campaign.o_stmts = 0 then "density0-10"
-  else
-    let d =
-      float_of_int o.Campaign.o_predicates /. float_of_int o.Campaign.o_stmts
-    in
-    if d < 0.10 then "density0-10"
-    else if d < 0.20 then "density10-20"
-    else if d < 0.30 then "density20-30"
-    else "density30+"
-
 let mine rows =
   {
     mi_total = List.length rows;
@@ -96,8 +76,13 @@ let mine rows =
     mi_failed = List.length (List.filter (fun r -> not (ran r)) rows);
     mi_by_class = group (fun r -> r.Campaign.o_class) rows;
     mi_by_family = group (fun r -> r.Campaign.o_family) rows;
-    mi_by_size = group size_bucket rows;
-    mi_by_density = group density_bucket rows;
+    mi_by_size = group (fun r -> Rank.size_key r.Campaign.o_stmts) rows;
+    mi_by_density =
+      group
+        (fun r ->
+          Rank.density_key ~stmts:r.Campaign.o_stmts
+            ~predicates:r.Campaign.o_predicates)
+        rows;
   }
 
 (* {2 Codec} *)
@@ -126,8 +111,8 @@ let table_to_string t =
   Json.to_string
     (Json.Obj
        [
-         ("schema", Json.Str schema_name);
-         ("version", num schema_version);
+         ("schema", Json.Str Rank.schema_name);
+         ("version", num Rank.schema_version);
          ("total", num t.mi_total);
          ("located", num t.mi_located);
          ("not_located", num t.mi_not_located);
@@ -188,9 +173,10 @@ let table_of_string s =
   let* j = Json.parse s in
   let* schema = str_field "schema" j in
   let* version = int_field "version" j in
-  if schema <> schema_name then Error (Printf.sprintf "foreign schema %S" schema)
-  else if version <> schema_version then
-    Error (Printf.sprintf "unsupported %s version %d" schema_name version)
+  if schema <> Rank.schema_name then
+    Error (Printf.sprintf "foreign schema %S" schema)
+  else if version <> Rank.schema_version then
+    Error (Printf.sprintf "unsupported %s version %d" Rank.schema_name version)
   else
     let* mi_total = int_field "total" j in
     let* mi_located = int_field "located" j in

@@ -5,7 +5,9 @@
 
     The output is a single JSON document
     [{"schema":"exom.corpus.mine","version":1,...}] plus a rendered
-    text summary; both are byte-deterministic functions of the rows. *)
+    text summary; both are byte-deterministic functions of the rows.
+    The schema and the size and density bucket keys are
+    {!Exom_rank.Rank}'s, so the ranker reads what this module writes. *)
 
 (** One aggregation bucket. *)
 type bucket = {
@@ -30,9 +32,6 @@ type table = {
   mi_by_size : bucket list;  (** statement-count ranges *)
   mi_by_density : bucket list;  (** predicates-per-statement ranges *)
 }
-
-val schema_name : string
-val schema_version : int
 
 val mine : Campaign.outcome list -> table
 

@@ -263,9 +263,8 @@ val to_string : t -> string
     degradation contract use {!write_result} instead. *)
 val write : string -> t -> unit
 
-(** Checked variant of {!write}: the serve daemon and the campaign
-    runner absorb the error into their degradation contracts instead of
-    unwinding. *)
+(** Checked variant of {!write}: the campaign runner absorbs the error
+    into its degradation contract instead of unwinding. *)
 val write_result : string -> t -> (unit, Exom_util.Vfs.error) result
 
 (** {2 The write-ahead journal}

@@ -190,10 +190,9 @@ let located_lines content =
    unknown record types are skipped too, so minor-version additions stay
    readable.
 
-   A malformed {e final} record is salvaged, not fatal (mirroring
-   Trace_io's handling of truncated dumps): a crashed or interrupted
-   writer leaves a torn last line, and everything before it is still a
-   well-formed log.  The salvage carries the torn line's position so
+   A malformed {e final} record is salvaged, not fatal: a crashed or
+   interrupted writer leaves a torn last line, and everything before it
+   is still a well-formed log.  The salvage carries the torn line's position so
    callers can cite it.  A malformed line with records {e after} it is
    real corruption and still errors. *)
 let read_jsonl ~on_record content =

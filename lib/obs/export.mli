@@ -31,8 +31,7 @@ type salvage = { torn_line : int; torn_byte : int }
 (** Rebuild the metrics registry from a JSONL log's contents; rejects
     foreign schemas and version skew.  Span and unknown records are
     skipped.  A torn {e final} line (interrupted writer) is dropped
-    rather than fatal, mirroring [Trace_io]'s salvage of truncated
-    dumps; the salvage names the torn line.  A malformed line followed
+    rather than fatal; the salvage names the torn line.  A malformed line followed
     by further records is still an error. *)
 val metrics_of_jsonl : string -> (Metrics.t * salvage option, string) result
 

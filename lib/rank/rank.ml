@@ -2,8 +2,8 @@ module Json = Exom_obs.Json
 
 (* The mined prior.  Only the bucket statistics the prior consumes are
    kept: (bucket key -> located rate) for the size and density
-   sections.  Bucket keys replicate the miner's encoding so a table
-   mined by one build ranks in another. *)
+   sections.  The schema and the bucket keys are defined here, once:
+   the miner (Exom_corpus.Mine) writes its tables with them. *)
 
 let schema_name = "exom.corpus.mine"
 let schema_version = 1
@@ -90,9 +90,6 @@ let default_config =
    byte-stable. *)
 let round4 f = Float.round (f *. 10_000.0) /. 10_000.0
 
-(* The miner's bucket keys (see Exom_corpus.Mine): reproduced here
-   because the corpus library sits above this one in the dependency
-   order. *)
 let size_key stmts =
   if stmts <= 10 then "stmts<=10"
   else if stmts <= 20 then "stmts11-20"

@@ -21,6 +21,20 @@
     predicate-density buckets matching the program under analysis
     seeds the posterior before any local evidence exists. *)
 
+(** {2 The [corpus mine] table}
+
+    Its schema and bucket keys, shared with the miner
+    ([Exom_corpus.Mine]) that writes the table. *)
+
+val schema_name : string
+val schema_version : int
+
+(** The size bucket of a program with [stmts] statements. *)
+val size_key : int -> string
+
+(** The predicate-density bucket: predicates per statement. *)
+val density_key : stmts:int -> predicates:int -> string
+
 (** A parsed [corpus mine] table, reduced to the bucket statistics the
     prior uses. *)
 type model

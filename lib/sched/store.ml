@@ -10,8 +10,8 @@
      DIR/shard-007.lock        advisory writer lock for that shard
      DIR/quarantine/           rejected entries and foreign layouts
 
-   Entry format, versioned like Trace_io so future layouts can be
-   rejected instead of misread:
+   Entry format, versioned so future layouts can be rejected instead of
+   misread:
 
      #exom-store v1
      <key>

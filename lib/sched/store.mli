@@ -80,7 +80,7 @@ val hit_rate : stats -> float
     the disk partition count used when initializing a fresh directory
     (default {!default_shards}; an existing manifest's count always
     wins, so concurrent writers agree).  [lease] is the writer-lock
-    lease in seconds (default {!default_lease}).  With [obs], every
+    lease in seconds (default 5).  With [obs], every
     stats increment is mirrored live into the metrics registry under
     ["store.<field>"]. *)
 val create :
@@ -136,4 +136,3 @@ val version : int
 val layout_version : int
 
 val default_shards : int
-val default_lease : float

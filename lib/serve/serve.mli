@@ -1,59 +1,9 @@
-(** Localization-as-a-service: a crash-safe daemon over one shared,
-    sharded verdict store.
+(** A compatibility alias for the benchmark.  [benchmark/request.ml]
+    and [benchmark/dune] name [Exom_serve.Serve.counts_of_report], and
+    [BENCHMARK.json] lists [benchmark/] as the benchmark's own sources,
+    which change only together with the benchmark.  The function lives
+    in {!Exom_core.Pipeline}; this library goes when [benchmark/] next
+    changes. *)
 
-    The daemon listens on a Unix-domain socket for {!Proto} frames.  A
-    listener domain accepts connections, answers [ping]/[stats]
-    inline, and feeds [locate] requests into a bounded queue —
-    persisting each request to the state directory {e before}
-    acknowledging it, so a SIGKILL can lose no accepted work.  When the
-    queue is full (or the daemon is draining) the request is shed with
-    an explicit 429-style reply instead of growing memory.
-
-    The service loop (the coordinator) serves requests one at a time —
-    each localization already parallelizes its verification batches
-    across the supervised domain pool — journaling every request's
-    ledger with the crash-safe machinery: verdicts stream into the
-    shared store, events into a write-ahead journal named after the
-    request's {!Exom_core.Session.fingerprint}.  After a crash,
-    [run ~resume:true] re-enqueues every request whose journal lacks a
-    Final event and replays it to a byte-identical ledger.  Repeated
-    requests (same fingerprint) are served by whole-journal replay — a
-    warm answer with zero re-executions.
-
-    A request whose localization comes back DEGRADED (transient worker
-    kills exhausted the pool's respawn budget) is retried from a cold
-    journal with exponential backoff, up to [request_retries] times.
-
-    On SIGTERM/SIGINT the daemon drains: the listener stops accepting,
-    queued requests are served to completion, counters are exported to
-    [STATE/metrics.jsonl], and the socket is removed. *)
-
-type config = {
-  socket_path : string;
-  state_dir : string;  (** requests/, ledgers/, store/ live under it *)
-  jobs : int;  (** supervised pool size for verification batches *)
-  queue_limit : int;  (** pending requests beyond this are shed *)
-  shards : int;  (** store partition count (manifest wins if present) *)
-  lease : float;  (** store writer-lock lease, seconds *)
-  request_retries : int;  (** re-runs of a DEGRADED request *)
-  resume : bool;  (** replay journaled in-flight requests at startup *)
-  trace : bool;
-      (** record per-request spans (the request under one
-          [serve.request] span keyed by its fingerprint) and export
-          each request's Chrome trace to
-          [STATE/traces/<fingerprint>.trace.json] *)
-}
-
-val default_config : socket_path:string -> state_dir:string -> config
-
-(** The structured counters a [locate] reply carries in
-    [Proto.sv_counts]: every deterministic count of a
-    {!Exom_core.Demand.report}, in a fixed key order.  Exposed so other
-    machine consumers of reports (the corpus campaign runner) emit the
-    same keys without depending on the daemon. *)
+(** {!Exom_core.Pipeline.counts_of_report}. *)
 val counts_of_report : Exom_core.Demand.report -> (string * int) list
-
-(** Run the daemon until drained.  Returns the process exit code.
-    [on_ready] (default: nothing) fires once the socket is listening —
-    tests use it to avoid polling. *)
-val run : ?on_ready:(unit -> unit) -> config -> int

@@ -93,9 +93,9 @@ end
 
 (* {2 Decision state}
 
-   Mutex-protected: writes are coordinator-side by discipline, but the
-   serve listener domain persists request files concurrently with the
-   service loop. *)
+   Mutex-protected: writes are coordinator-side by discipline, but this
+   state is process-global, and a call from any other domain must not
+   tear the plan's sequence or the tallies. *)
 
 let lock = Mutex.create ()
 let plan : Io_chaos.plan option ref = ref None

@@ -1,8 +1,8 @@
 (** The checked I/O façade: every persistence path in the system —
     store entries and manifests, ledger canonical writes and journal
-    syncs, serve request files, campaign manifests and outcome rows,
-    metric exports, trace dumps — goes through these operations instead
-    of calling [open_out]/[Unix.fsync]/[Sys.rename] directly.
+    syncs, campaign manifests and outcome rows, metric exports — goes
+    through these operations instead of calling
+    [open_out]/[Unix.fsync]/[Sys.rename] directly.
 
     Two things come from the single chokepoint:
 
@@ -11,9 +11,8 @@
       returned as a typed {!error} instead of unwinding the caller —
       each consumer implements an explicit degradation contract (the
       store drops to its memory tier, the ledger marks the run
-      DEGRADED, the daemon sheds with [storage_unavailable], the
-      campaign quarantines the shard) rather than aborting a
-      localization over a cache write.
+      DEGRADED, the campaign quarantines the shard) rather than
+      aborting a localization over a cache write.
     - {b Injectable faults.}  An optional seed-deterministic
       {!Io_chaos} plan (the storage-layer sibling of
       [Exom_interp.Chaos]) injects ENOSPC / EIO / short (torn) writes /

@@ -62,17 +62,19 @@ let audit_ok ?lanes ?tolerance ?legs a b =
 
 (* {2 Fixtures} *)
 
-let fixture =
+let suite_fault name fid =
   lazy
-    (let bench = Option.get (Suite.find "gzipsim") in
-     let fault = Option.get (Suite.find_fault bench "V2-F3") in
+    (let bench = Option.get (Suite.find name) in
+     let fault = Option.get (Suite.find_fault bench fid) in
      let faulty = Typecheck.parse_and_check (B.faulty_source bench fault) in
      let correct = Typecheck.parse_and_check bench.B.source in
      (bench, fault, faulty, correct))
 
+let fixture = suite_fault "gzipsim" "V2-F3"
+
 (* One traced + journaled localization through the pipeline bin/exom
    runs. *)
-let traced_run ?plan ~jobs journal_path =
+let traced_run ?plan ?(fixture = fixture) ~jobs journal_path =
   let bench, fault, faulty, correct = Lazy.force fixture in
   let obs = Obs.create ~trace:true () in
   let ledger = Ledger.create () in
@@ -138,19 +140,22 @@ let test_load_sniffing () =
 (* {2 The composed verdict} *)
 
 let test_j_invariance_clean () =
-  let obs1, r1 = traced_run ~jobs:1 (fresh_path ()) in
-  let obs4, r4 = traced_run ~jobs:4 (fresh_path ()) in
-  Alcotest.(check bool) "both locate" true
-    (r1.Demand.found && r4.Demand.found);
-  let a = load_ok (trace_file obs1) and b = load_ok (trace_file obs4) in
-  let t = audit_ok ~legs:[ Audit.Spine_leg ] a b in
-  Alcotest.(check bool) "-j1 vs -j4 trace audit is clean" true
-    (Audit.clean t);
-  let out = Audit.render t in
-  Alcotest.(check bool) "render says CLEAN" true
-    (contains out "verdict: CLEAN");
-  Alcotest.(check bool) "render names both runs" true
-    (contains out a.Audit.path && contains out b.Audit.path)
+  List.iter
+    (fun (name, fixture) ->
+      let obs1, r1 = traced_run ~fixture ~jobs:1 (fresh_path ()) in
+      let obs4, r4 = traced_run ~fixture ~jobs:4 (fresh_path ()) in
+      Alcotest.(check bool) (name ^ ": both locate") true
+        (r1.Demand.found && r4.Demand.found);
+      let a = load_ok (trace_file obs1) and b = load_ok (trace_file obs4) in
+      let t = audit_ok ~legs:[ Audit.Spine_leg ] a b in
+      Alcotest.(check bool) (name ^ ": -j1 vs -j4 trace audit is clean") true
+        (Audit.clean t);
+      let out = Audit.render t in
+      Alcotest.(check bool) (name ^ ": render says CLEAN") true
+        (contains out "verdict: CLEAN");
+      Alcotest.(check bool) (name ^ ": render names both runs") true
+        (contains out a.Audit.path && contains out b.Audit.path))
+    [ ("gzipsim V2-F3", fixture); ("sedsim V3-F2", suite_fault "sedsim" "V3-F2") ]
 
 let test_reorder_drifts () =
   let base =

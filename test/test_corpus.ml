@@ -196,20 +196,29 @@ let run_campaign ?jobs ?resume ~shards manifest dir =
   Alcotest.(check (list string)) "no missing rows" [] missing;
   rows
 
+(* The third run passes no [jobs]: every shard then runs on the
+   process-wide default pool, which the first shard must not shut down
+   under the second. *)
 let test_campaign_deterministic () =
   let manifest = gen_manifest () in
   with_temp_dir (fun d1 ->
       with_temp_dir (fun d2 ->
-          let r1 = run_campaign ~jobs:1 ~shards:1 manifest d1 in
-          let _r2 = run_campaign ~jobs:4 ~shards:2 manifest d2 in
-          Alcotest.(check int)
-            "all triples ran"
-            (List.length manifest.Campaign.m_triples)
-            (List.length r1);
-          Alcotest.(check string)
-            "outcomes byte-identical at -j1/x1 and -j4/x2"
-            (read_file (outcomes_file d1))
-            (read_file (outcomes_file d2))))
+          with_temp_dir (fun d3 ->
+              let r1 = run_campaign ~jobs:1 ~shards:1 manifest d1 in
+              let _r2 = run_campaign ~jobs:4 ~shards:2 manifest d2 in
+              let _r3 = run_campaign ~shards:2 manifest d3 in
+              Alcotest.(check int)
+                "all triples ran"
+                (List.length manifest.Campaign.m_triples)
+                (List.length r1);
+              Alcotest.(check string)
+                "outcomes byte-identical at -j1/x1 and -j4/x2"
+                (read_file (outcomes_file d1))
+                (read_file (outcomes_file d2));
+              Alcotest.(check string)
+                "outcomes byte-identical at -j1/x1 and default pool/x2"
+                (read_file (outcomes_file d1))
+                (read_file (outcomes_file d3)))))
 
 (* Per-shard metric registries merge to the campaign registry over any
    disjoint partition: counters sum, so absorbing the shard files must

@@ -8,7 +8,6 @@ module Chaos = Exom_interp.Chaos
 module Interp = Exom_interp.Interp
 module Profile = Exom_interp.Profile
 module Trace = Exom_interp.Trace
-module Trace_io = Exom_interp.Trace_io
 module Value = Exom_interp.Value
 
 let compile src = Typecheck.parse_and_check src
@@ -511,222 +510,6 @@ void main() {
     Alcotest.(check bool) "value" true (Value.equal a.Trace.value b.Trace.value)
   done
 
-(* Trace serialization *)
-
-let trace_equal t1 t2 =
-  Trace.length t1 = Trace.length t2
-  && begin
-       let ok = ref true in
-       for i = 0 to Trace.length t1 - 1 do
-         let a = Trace.get t1 i and b = Trace.get t2 i in
-         if
-           a.Trace.sid <> b.Trace.sid
-           || a.Trace.occ <> b.Trace.occ
-           || a.Trace.parent <> b.Trace.parent
-           || a.Trace.kind <> b.Trace.kind
-           || a.Trace.uses <> b.Trace.uses
-           || a.Trace.defs <> b.Trace.defs
-           || not (Value.equal a.Trace.value b.Trace.value)
-         then ok := false
-       done;
-       !ok
-     end
-
-let test_trace_roundtrip () =
-  let src =
-    {|
-int g = 7;
-int helper(int k) { return k * g; }
-void main() {
-  int[] a = new_array(3);
-  int i = 0;
-  while (i < 3) {
-    a[i] = helper(i);
-    i = i + 1;
-  }
-  print(a[2]);
-}
-|}
-  in
-  let r = run src ~input:[] in
-  let t = trace_of r in
-  let t' = Exom_interp.Trace_io.of_string (Exom_interp.Trace_io.to_string t) in
-  Alcotest.(check bool) "round trip exact" true (trace_equal t t');
-  (* occurrence counts survive too *)
-  Trace.iter
-    (fun inst ->
-      Alcotest.(check int) "occurrences preserved"
-        (Trace.occurrences t inst.Trace.sid)
-        (Trace.occurrences t' inst.Trace.sid))
-    t
-
-let test_trace_io_rejects_garbage () =
-  match Exom_interp.Trace_io.of_string "not a trace line" with
-  | _ -> Alcotest.fail "expected Failure"
-  | exception Failure _ -> ()
-
-(* A moderately rich trace for the hardening tests: loops, calls,
-   arrays, so the dump has many line shapes. *)
-let contains_sub haystack needle =
-  let nh = String.length haystack and nn = String.length needle in
-  let rec go i =
-    i + nn <= nh && (String.sub haystack i nn = needle || go (i + 1))
-  in
-  go 0
-
-let io_fixture () =
-  let src =
-    {|
-int g = 7;
-int helper(int k) { return k * g; }
-void main() {
-  int[] a = new_array(3);
-  int i = 0;
-  while (i < 3) {
-    a[i] = helper(i);
-    i = i + 1;
-  }
-  print(a[2]);
-}
-|}
-  in
-  trace_of (run src ~input:[])
-
-let test_trace_io_header () =
-  let t = io_fixture () in
-  let s = Trace_io.to_string t in
-  (* dumps are versioned *)
-  Alcotest.(check bool) "header first" true
-    (String.length s > 14 && String.sub s 0 14 = "#exom-trace v1");
-  (* a future version is refused, with the offending line number *)
-  let future =
-    "#exom-trace v99\n" ^ String.concat "\n" (List.tl (String.split_on_char '\n' s))
-  in
-  (match Trace_io.of_string_result future with
-  | Error e ->
-    Alcotest.(check int) "error on line 1" 1 e.Trace_io.line;
-    Alcotest.(check bool) "mentions the version" true
-      (contains_sub (Trace_io.error_to_string e) "v99")
-  | Ok _ -> Alcotest.fail "future version accepted");
-  (* headerless dumps (pre-versioning) still load *)
-  let headerless =
-    String.concat "\n" (List.tl (String.split_on_char '\n' s))
-  in
-  (match Trace_io.of_string_result headerless with
-  | Ok t' -> Alcotest.(check bool) "headerless round trip" true (trace_equal t t')
-  | Error e -> Alcotest.failf "headerless refused: %s" (Trace_io.error_to_string e));
-  (* comment lines are skipped *)
-  match Trace_io.of_string_result ("# a comment\n" ^ s) with
-  | Ok t' -> Alcotest.(check bool) "comments skipped" true (trace_equal t t')
-  | Error e -> Alcotest.failf "comment refused: %s" (Trace_io.error_to_string e)
-
-let test_trace_io_reports_line_number () =
-  let t = io_fixture () in
-  let lines = String.split_on_char '\n' (Trace_io.to_string t) in
-  (* garble an instance line in the middle of the dump *)
-  let victim = 1 + ((List.length lines - 2) / 2) in
-  let garbled =
-    String.concat "\n"
-      (List.mapi
-         (fun i l -> if i = victim - 1 then "12 zz" ^ l else l)
-         lines)
-  in
-  (match Trace_io.of_string_result garbled with
-  | Ok _ -> Alcotest.fail "garbled dump accepted"
-  | Error e -> Alcotest.(check int) "offending line" victim e.Trace_io.line);
-  (* the raising reader carries the same position in its message *)
-  match Trace_io.of_string garbled with
-  | _ -> Alcotest.fail "expected Failure"
-  | exception Failure msg ->
-    let expect = Printf.sprintf "line %d:" victim in
-    Alcotest.(check bool)
-      (Printf.sprintf "message %S mentions %S" msg expect)
-      true (contains_sub msg expect)
-
-let test_trace_io_salvage_clean_prefix () =
-  let t = io_fixture () in
-  let lines =
-    String.split_on_char '\n' (Trace_io.to_string t)
-    |> List.filter (fun l -> l <> "")
-  in
-  let n = Trace.length t in
-  (* dropping k whole instance lines salvages exactly the remaining
-     prefix, with nothing to report *)
-  for k = 0 to n do
-    let kept = List.filteri (fun i _ -> i < List.length lines - k) lines in
-    let t', err = Trace_io.salvage_of_string (String.concat "\n" kept) in
-    Alcotest.(check int)
-      (Printf.sprintf "prefix length with %d lines dropped" k)
-      (n - k) (Trace.length t');
-    Alcotest.(check bool) "no error" true (err = None);
-    for i = 0 to Trace.length t' - 1 do
-      let a = Trace.get t i and b = Trace.get t' i in
-      Alcotest.(check bool) "prefix instance matches" true
-        (a.Trace.sid = b.Trace.sid && a.Trace.occ = b.Trace.occ
-        && a.Trace.uses = b.Trace.uses && a.Trace.defs = b.Trace.defs
-        && Value.equal a.Trace.value b.Trace.value)
-    done
-  done
-
-let test_trace_io_salvage_torn_line () =
-  let t = io_fixture () in
-  let s = Trace_io.to_string t in
-  (* tear the final line before its uses separator — definitely
-     malformed: salvage recovers everything before it and reports where
-     parsing stopped *)
-  let lines =
-    String.split_on_char '\n' s |> List.filter (fun l -> l <> "")
-  in
-  let last = List.nth lines (List.length lines - 1) in
-  let torn =
-    String.concat "\n"
-      (List.filteri (fun i _ -> i < List.length lines - 1) lines
-      @ [ String.sub last 0 (String.index last '|') ])
-  in
-  let t', err = Trace_io.salvage_of_string torn in
-  Alcotest.(check int) "all but the torn instance"
-    (Trace.length t - 1) (Trace.length t');
-  match err with
-  | None -> Alcotest.fail "torn line not reported"
-  | Some e ->
-    (* header is line 1, instance i on line i + 1 *)
-    Alcotest.(check int) "error on the torn line" (Trace.length t + 1)
-      e.Trace_io.line;
-  (* the strict readers refuse the same input *)
-  (match Trace_io.of_string_result torn with
-  | Ok _ -> Alcotest.fail "strict reader accepted a torn dump"
-  | Error e' ->
-    Alcotest.(check int) "same position" e.Trace_io.line e'.Trace_io.line)
-
-let prop_salvage_never_raises =
-  (* salvage at any byte cut: no exception, and everything recovered
-     except possibly the torn last instance is an exact prefix *)
-  QCheck.Test.make ~name:"salvage of any truncation is a valid prefix"
-    ~count:120
-    QCheck.(int_range 0 10000)
-    (fun cut ->
-      let t = io_fixture () in
-      let s = Trace_io.to_string t in
-      let cut = cut mod (String.length s + 1) in
-      let t', _ = Trace_io.salvage_of_string (String.sub s 0 cut) in
-      Trace.length t' <= Trace.length t
-      && begin
-           (* the last recovered instance may have lost the tail of its
-              defs to the tear; everything before it is exact *)
-           let exact = ref true in
-           for i = 0 to Trace.length t' - 2 do
-             let a = Trace.get t i and b = Trace.get t' i in
-             if
-               a.Trace.sid <> b.Trace.sid
-               || a.Trace.occ <> b.Trace.occ
-               || a.Trace.uses <> b.Trace.uses
-               || a.Trace.defs <> b.Trace.defs
-               || not (Value.equal a.Trace.value b.Trace.value)
-             then exact := false
-           done;
-           !exact
-         end)
-
 (* Chaos: deterministic fault injection *)
 
 let chaos_src =
@@ -800,33 +583,6 @@ let test_chaos_none_is_inert () =
   Alcotest.(check bool) "no chaos, same run" true
     (Interp.output_values clean = Interp.output_values r
     && clean.Interp.steps = r.Interp.steps)
-
-let prop_trace_roundtrip =
-  QCheck.Test.make ~name:"trace serialization round-trips" ~count:25
-    QCheck.(int_range 0 12)
-    (fun n ->
-      let src =
-        {|
-void main() {
-  int n = input();
-  int s = 0;
-  int i = 0;
-  while (i < n) {
-    if (i % 2 == 0) {
-      s = s + i;
-    }
-    i = i + 1;
-  }
-  print(s);
-}
-|}
-      in
-      let r = run src ~input:[ n ] in
-      match r.Interp.trace with
-      | None -> false
-      | Some t ->
-        trace_equal t
-          (Exom_interp.Trace_io.of_string (Exom_interp.Trace_io.to_string t)))
 
 (* Value profiles *)
 
@@ -950,13 +706,6 @@ let () =
           tc "unreached switch" test_switch_not_fired_when_unreached;
           tc "value switch" test_value_switch;
           tc "value switch occurrence" test_value_switch_specific_occurrence ] );
-      ( "serialization",
-        [ tc "round trip" test_trace_roundtrip;
-          tc "rejects garbage" test_trace_io_rejects_garbage;
-          tc "versioned header" test_trace_io_header;
-          tc "errors carry line numbers" test_trace_io_reports_line_number;
-          tc "salvage of a clean prefix" test_trace_io_salvage_clean_prefix;
-          tc "salvage of a torn line" test_trace_io_salvage_torn_line ] );
       ( "chaos",
         [ tc "seed derivation deterministic" test_chaos_of_seed_deterministic;
           tc "injected crash" test_chaos_crash_at;
@@ -967,5 +716,4 @@ let () =
       ("profiles", [ tc "collect" test_profile ]);
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_loop_count; prop_switch_prefix_identical;
-            prop_trace_roundtrip; prop_salvage_never_raises ] ) ]
+          [ prop_loop_count; prop_switch_prefix_identical ] ) ]

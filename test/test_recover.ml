@@ -48,15 +48,21 @@ let write_file path content =
   output_string oc content;
   close_out oc
 
-(* The fixture: gzipsim V2-F3, the suite's journal-heaviest locate with
-   switched-run dedup. *)
-let fixture =
+let suite_fault name fid =
   lazy
-    (let bench = Option.get (Suite.find "gzipsim") in
-     let fault = Option.get (Suite.find_fault bench "V2-F3") in
+    (let bench = Option.get (Suite.find name) in
+     let fault = Option.get (Suite.find_fault bench fid) in
      let faulty = Typecheck.parse_and_check (B.faulty_source bench fault) in
      let correct = Typecheck.parse_and_check bench.B.source in
      (bench, fault, faulty, correct))
+
+(* The fixture: gzipsim V2-F3, the suite's journal-heaviest locate with
+   switched-run dedup. *)
+let fixture = suite_fault "gzipsim" "V2-F3"
+
+(* A second program and input: a foreign journal for the fixture, and a
+   second subject of the kill-chain spine test. *)
+let other_fixture = suite_fault "sedsim" "V3-F2"
 
 (* One localization of [bench]/[fault] through the production pipeline,
    journaled at [path]; with [plan], the pipeline is asked to resume it
@@ -83,8 +89,8 @@ let pipeline_run ?obs ?plan ~jobs (bench, fault, faulty, correct) path =
   in
   (Ledger.to_string ledger, report, resumed)
 
-(* The fixture's run; a given plan must be replayed. *)
-let journaled_run ?obs ?plan ~jobs path =
+(* The fixture's run (or [fixture]'s); a given plan must be replayed. *)
+let journaled_run ?obs ?plan ?(fixture = fixture) ~jobs path =
   let ledger, report, resumed =
     pipeline_run ?obs ?plan ~jobs (Lazy.force fixture) path
   in
@@ -388,18 +394,19 @@ let test_multi_generation_chain_with_enospc () =
       end)
     [ 1; 4 ]
 
-(* The trace-spine side of the same chain: a kill -> resume -> kill ->
-   resume survivor must emit a coordinator span spine identical to the
-   uninterrupted run's — replayed batches re-emit their lane-0
-   verify.batch span but no worker-lane spans, so the Coordinator
-   projection is the replay-invariant object while All lanes legitimately
-   differ. *)
+(* The trace-spine side of the same chain, on two faults: a kill ->
+   resume -> kill -> resume survivor must write the uninterrupted run's
+   ledger and emit a coordinator span spine identical to its — replayed
+   batches re-emit their lane-0 verify.batch span but no worker-lane
+   spans, so the Coordinator projection is the replay-invariant object
+   while All lanes legitimately differ. *)
 let test_kill_chain_spine () =
   List.iter
-    (fun jobs ->
+    (fun (name, fixture, jobs) ->
+      let label what = Printf.sprintf "%s (%s, -j%d)" what name jobs in
       let full_obs = Obs.create ~trace:true () in
       let jfull = fresh_path () in
-      ignore (journaled_run ~obs:full_obs ~jobs jfull);
+      let full_ledger, _ = journaled_run ~obs:full_obs ~fixture ~jobs jfull in
       let full_spans = Obs.spans full_obs in
       let full_coord =
         Spine.of_spans ~lanes:Spine.Coordinator full_spans
@@ -408,58 +415,52 @@ let test_kill_chain_spine () =
       (* generation 1: torn right after the first checkpoint *)
       let killed1 = fresh_path () in
       write_file killed1 (torn_after_checkpoint journal0 0);
-      let plan1 = plan_of "spine gen1" killed1 in
+      let plan1 = plan_of (label "spine gen1") killed1 in
       let j1 = fresh_path () in
-      ignore (journaled_run ~plan:plan1 ~jobs j1);
+      ignore (journaled_run ~plan:plan1 ~fixture ~jobs j1);
       (* generation 2: the resumed run torn after its last checkpoint;
          the second resume is the traced survivor *)
       let journal1 = read_file j1 in
       let ncks1 = List.length (checkpoint_indices (journal_lines journal1)) in
       let killed2 = fresh_path () in
       write_file killed2 (torn_after_checkpoint journal1 (ncks1 - 1));
-      let plan2 = plan_of "spine gen2" killed2 in
-      Alcotest.(check int)
-        (Printf.sprintf "chain depth recorded (-j%d)" jobs)
-        1 plan2.Recover.prior_resumes;
+      let plan2 = plan_of (label "spine gen2") killed2 in
+      Alcotest.(check int) (label "chain depth recorded") 1
+        plan2.Recover.prior_resumes;
       let resumed_obs = Obs.create ~trace:true () in
-      ignore (journaled_run ~obs:resumed_obs ~plan:plan2 ~jobs (fresh_path ()));
+      let survivor_ledger, _ =
+        journaled_run ~obs:resumed_obs ~plan:plan2 ~fixture ~jobs
+          (fresh_path ())
+      in
+      Alcotest.(check string)
+        (label "survivor's ledger byte-identical to uninterrupted")
+        full_ledger survivor_ledger;
       let resumed_spans = Obs.spans resumed_obs in
       let resumed_coord =
         Spine.of_spans ~lanes:Spine.Coordinator resumed_spans
       in
       Alcotest.(check string)
-        (Printf.sprintf
-           "survivor's coordinator spine identical to uninterrupted (-j%d)"
-           jobs)
+        (label "survivor's coordinator spine identical to uninterrupted")
         (Spine.to_string full_coord)
         (Spine.to_string resumed_coord);
-      Alcotest.(check int)
-        (Printf.sprintf "coordinator edit script empty (-j%d)" jobs)
-        0
+      Alcotest.(check int) (label "coordinator edit script empty") 0
         (List.length (Spine.diff full_coord resumed_coord));
       (* the replayed batches really were skipped: their worker-lane
          spans never exist, so the all-lane spines differ *)
-      Alcotest.(check bool)
-        (Printf.sprintf "all-lane spine shows the replay gap (-j%d)" jobs)
-        true
+      Alcotest.(check bool) (label "all-lane spine shows the replay gap") true
         (Spine.diff
            (Spine.of_spans full_spans)
            (Spine.of_spans resumed_spans)
          <> []))
-    [ 1; 4 ]
-
-let other_fixture () =
-  let bench = Option.get (Suite.find "sedsim") in
-  let fault = Option.get (Suite.find_fault bench "V3-F2") in
-  ( bench,
-    fault,
-    Typecheck.parse_and_check (B.faulty_source bench fault),
-    Typecheck.parse_and_check bench.B.source )
+    (List.concat_map
+       (fun (name, fixture) ->
+         List.map (fun jobs -> (name, fixture, jobs)) [ 1; 4 ])
+       [ ("gzipsim V2-F3", fixture); ("sedsim V3-F2", other_fixture) ])
 
 let test_foreign_journal_rejected () =
   (* a journal from a different program/input must not prime a
      session: the run starts cold and its ledger is a fresh run's *)
-  let other = other_fixture () in
+  let other = Lazy.force other_fixture in
   let fresh, _, _ = pipeline_run ~jobs:1 other (fresh_path ()) in
   let cold, _, resumed =
     pipeline_run ~plan:(baseline_plan ()) ~jobs:1 other (fresh_path ())
