@@ -278,22 +278,27 @@ let write_obs obs ~trace_out ~metrics_out =
     Printf.eprintf "metrics written to %s\n" path
   | None -> ()
 
+(* A converter over one of the string parsers: a malformed value is a
+   usage error, rejected when the command line is parsed. *)
+let conv_of parse print =
+  Arg.conv ((fun s -> Result.map_error (fun e -> `Msg e) (parse s)), print)
+
+let jobs_conv = conv_of B.jobs_of_string Fmt.int
+
 (* -j: verification scheduler parallelism.  Defaults to the EXOM_JOBS
    environment variable (1 when unset); 0 means one job per core. *)
 let jobs_arg =
   Arg.(
     value
-    & opt (some int) None
+    & opt (some jobs_conv) None
     & info [ "j"; "jobs" ] ~docv:"N"
         ~doc:
           "Verification jobs: switched re-executions of one Demand \
            iteration run on N domains (0 = one per core; default \
            \\$(b,EXOM_JOBS) or 1).  Reports are identical at any N")
 
-let make_pool jobs =
-  match jobs with
+let make_pool = function
   | None -> Pool.default ()
-  | Some j when j < 0 -> invalid_arg "exom: -j must be >= 0"
   | Some j -> Pool.create ~jobs:j ()
 
 let store_arg =
@@ -1097,49 +1102,35 @@ module Seeder = Exom_corpus.Seeder
 module Campaign = Exom_corpus.Campaign
 module Mine = Exom_corpus.Mine
 
+let fault_class_conv =
+  conv_of
+    (fun s ->
+      Option.to_result
+        ~none:(Printf.sprintf "unknown fault class %S" s)
+        (Seeder.class_of_string (String.trim s)))
+    (fun ppf c -> Fmt.string ppf (Seeder.class_to_string c))
+
 let corpus_classes_arg =
   Arg.(
     value
-    & opt (some string) None
+    & opt (some (list fault_class_conv)) None
     & info [ "classes" ] ~docv:"C1,C2"
         ~doc:
           "Restrict seeding to these fault classes (stmt_delete, \
            guard_strengthen, guard_weaken, call_drop, flag_init)")
 
-let parse_classes = function
-  | None -> Ok None
-  | Some s ->
-    let names =
-      String.split_on_char ',' s
-      |> List.map String.trim
-      |> List.filter (fun x -> x <> "")
-    in
-    let rec go acc = function
-      | [] -> Ok (Some (List.rev acc))
-      | n :: rest -> (
-        match Seeder.class_of_string n with
-        | Some c -> go (c :: acc) rest
-        | None -> Error (Printf.sprintf "unknown fault class %S" n))
-    in
-    go [] names
-
 let corpus_gen_cmd =
   let action seed count family classes out =
-    match parse_classes classes with
-    | Error e ->
+    match Campaign.generate ?classes ~family ~seed ~count () with
+    | exception Failure e ->
       Printf.eprintf "%s\n" e;
       1
-    | Ok classes -> (
-      match Campaign.generate ?classes ~family ~seed ~count () with
-      | exception Failure e ->
-        Printf.eprintf "%s\n" e;
-        1
-      | manifest ->
-        Campaign.write_manifest out manifest;
-        Printf.eprintf "%d triples (family %s, %d generation attempts) -> %s\n"
-          (List.length manifest.Campaign.m_triples)
-          manifest.Campaign.m_family manifest.Campaign.m_attempts out;
-        0)
+    | manifest ->
+      Campaign.write_manifest out manifest;
+      Printf.eprintf "%d triples (family %s, %d generation attempts) -> %s\n"
+        (List.length manifest.Campaign.m_triples)
+        manifest.Campaign.m_family manifest.Campaign.m_attempts out;
+      0
   in
   let seed_arg =
     Arg.(
@@ -1384,14 +1375,6 @@ let corpus_seed_cmd =
     let source = read_file file in
     let* prog = Pipeline.compile ~name:file source in
     let* input = resolve_input input None in
-    let cls =
-      Option.map
-        (fun c ->
-          match Seeder.class_of_string c with
-          | Some c -> c
-          | None -> failwith (Printf.sprintf "unknown fault class %S" c))
-        cls
-    in
     let line_of_sid p sid =
       let l = ref 0 in
       Ast.iter_program
@@ -1476,7 +1459,7 @@ let corpus_seed_cmd =
   let class_arg =
     Arg.(
       value
-      & opt (some string) None
+      & opt (some fault_class_conv) None
       & info [ "class" ] ~docv:"CLS" ~doc:"Restrict to one fault class")
   in
   let line_arg =
@@ -1518,23 +1501,7 @@ module Storm = Exom_bench.Storm
 
 let chaos_cmd =
   let action seed jobs corpus dir out faults check =
-    let faults =
-      match faults with
-      | [] -> None
-      | fs ->
-        Some
-          (List.map
-             (fun s ->
-               match String.index_opt s '/' with
-               | Some i ->
-                 ( String.sub s 0 i,
-                   String.sub s (i + 1) (String.length s - i - 1) )
-               | None ->
-                 raise
-                   (Invalid_argument
-                      (Printf.sprintf "--fault %S: expected BENCH/FID" s)))
-             fs)
-    in
+    let faults = match faults with [] -> None | fs -> Some fs in
     let dir =
       match dir with
       | Some d -> d
@@ -1564,7 +1531,7 @@ let chaos_cmd =
   in
   let jobs_arg =
     Arg.(
-      value & opt int 2
+      value & opt jobs_conv 2
       & info [ "j"; "jobs" ] ~docv:"N"
           ~doc:
             "Verification pool size per localization (>= 2 gives worker \
@@ -1592,8 +1559,11 @@ let chaos_cmd =
       & info [ "out" ] ~docv:"FILE" ~doc:"Write the storm report as JSON")
   in
   let faults_arg =
+    let fault_ref_conv =
+      conv_of B.fault_ref_of_string (fun ppf (b, f) -> Fmt.pf ppf "%s/%s" b f)
+    in
     Arg.(
-      value & opt_all string []
+      value & opt_all fault_ref_conv []
       & info [ "fault" ] ~docv:"BENCH/FID"
           ~doc:
             "Suite fault to storm, as $(b,bench/fault-id) (repeatable; \
@@ -1625,13 +1595,12 @@ module Audit = Exom_audit
 module Spine = Exom_obs.Spine
 
 let lanes_conv =
-  let parse s =
-    match Spine.lanes_of_string s with
-    | Some l -> Ok l
-    | None ->
-      Error (`Msg (Printf.sprintf "unknown lane projection %S" s))
-  in
-  Arg.conv (parse, fun ppf l -> Fmt.string ppf (Spine.lanes_to_string l))
+  conv_of
+    (fun s ->
+      Option.to_result
+        ~none:(Printf.sprintf "unknown lane projection %S" s)
+        (Spine.lanes_of_string s))
+    (fun ppf l -> Fmt.string ppf (Spine.lanes_to_string l))
 
 let audit_cmd =
   let action run_a run_b spine metrics ledger lanes tolerance check =

@@ -44,6 +44,17 @@ let ints_of_string s =
        (Ok [])
   |> Result.map List.rev
 
+let jobs_of_string s =
+  match int_of_string_opt (String.trim s) with
+  | Some n when n >= 0 -> Ok n
+  | Some _ | None -> Error (Printf.sprintf "%S is not a job count >= 0" s)
+
+let fault_ref_of_string s =
+  match String.index_opt s '/' with
+  | Some i when i > 0 && i < String.length s - 1 ->
+    Ok (String.sub s 0 i, String.sub s (i + 1) (String.length s - i - 1))
+  | Some _ | None -> Error (Printf.sprintf "%S is not BENCH/FID" s)
+
 let find_substring hay needle =
   let nh = String.length hay and nn = String.length needle in
   if nn = 0 then invalid_arg "find_substring: empty needle";

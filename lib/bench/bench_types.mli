@@ -27,6 +27,14 @@ val input_of_string : string -> int list
     names the first token that is not an integer. *)
 val ints_of_string : string -> (int list, string) result
 
+(** A job count (the CLI's [-j]): an integer >= 0, where 0 means one
+    job per core. *)
+val jobs_of_string : string -> (int, string) result
+
+(** A suite fault reference [BENCH/FID] (the CLI's [--fault]), split
+    at the first [/]; neither part may be empty. *)
+val fault_ref_of_string : string -> (string * string, string) result
+
 (** These raise [Invalid_argument] when the pattern is absent. *)
 val fault_line : t -> fault -> int
 

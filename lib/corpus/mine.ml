@@ -124,74 +124,6 @@ let table_to_string t =
        ])
   ^ "\n"
 
-let ( let* ) = Result.bind
-
-let str_field name j =
-  match Json.member name j with
-  | Some (Json.Str s) -> Ok s
-  | _ -> Error (Printf.sprintf "missing string field %S" name)
-
-let int_field name j =
-  match Option.bind (Json.member name j) Json.to_float with
-  | Some f -> Ok (int_of_float f)
-  | None -> Error (Printf.sprintf "missing numeric field %S" name)
-
-let float_field name j =
-  match Option.bind (Json.member name j) Json.to_float with
-  | Some f -> Ok f
-  | None -> Error (Printf.sprintf "missing numeric field %S" name)
-
-let bucket_of_json j =
-  let* b_key = str_field "key" j in
-  let* b_n = int_field "n" j in
-  let* b_located = int_field "located" j in
-  let* b_not_located = int_field "not_located" j in
-  let* b_failed = int_field "failed" j in
-  let* b_mean_iterations = float_field "mean_iterations" j in
-  let* b_mean_verifications = float_field "mean_verifications" j in
-  let* b_mean_verify_queries = float_field "mean_verify_queries" j in
-  let* b_mean_store_hits = float_field "mean_store_hits" j in
-  Ok
-    {
-      b_key; b_n; b_located; b_not_located; b_failed; b_mean_iterations;
-      b_mean_verifications; b_mean_verify_queries; b_mean_store_hits;
-    }
-
-let buckets_field name j =
-  match Json.member name j with
-  | Some (Json.Arr l) ->
-    List.fold_left
-      (fun acc bj ->
-        let* acc = acc in
-        let* b = bucket_of_json bj in
-        Ok (b :: acc))
-      (Ok []) l
-    |> Result.map List.rev
-  | _ -> Error (Printf.sprintf "missing bucket array %S" name)
-
-let table_of_string s =
-  let* j = Json.parse s in
-  let* schema = str_field "schema" j in
-  let* version = int_field "version" j in
-  if schema <> Rank.schema_name then
-    Error (Printf.sprintf "foreign schema %S" schema)
-  else if version <> Rank.schema_version then
-    Error (Printf.sprintf "unsupported %s version %d" Rank.schema_name version)
-  else
-    let* mi_total = int_field "total" j in
-    let* mi_located = int_field "located" j in
-    let* mi_not_located = int_field "not_located" j in
-    let* mi_failed = int_field "failed" j in
-    let* mi_by_class = buckets_field "by_class" j in
-    let* mi_by_family = buckets_field "by_family" j in
-    let* mi_by_size = buckets_field "by_size" j in
-    let* mi_by_density = buckets_field "by_density" j in
-    Ok
-      {
-        mi_total; mi_located; mi_not_located; mi_failed; mi_by_class;
-        mi_by_family; mi_by_size; mi_by_density;
-      }
-
 let render t =
   let b = Buffer.create 512 in
   let rate n d = if d = 0 then 0.0 else 100.0 *. float_of_int n /. float_of_int d in

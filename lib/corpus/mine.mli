@@ -38,7 +38,5 @@ val mine : Campaign.outcome list -> table
 (** The JSON document, newline-terminated. *)
 val table_to_string : table -> string
 
-val table_of_string : string -> (table, string) result
-
 (** Human-readable summary. *)
 val render : table -> string

@@ -1,8 +1,8 @@
 (** The checked I/O façade: every persistence path in the system —
-    store entries and manifests, ledger canonical writes and journal
-    syncs, campaign manifests and outcome rows, metric exports — goes
-    through these operations instead of calling
-    [open_out]/[Unix.fsync]/[Sys.rename] directly.
+    store entries, ledger canonical writes and journal syncs, campaign
+    manifests and outcome rows, metric exports — goes through these
+    operations instead of calling [open_out]/[Unix.fsync]/[Sys.rename]
+    directly.
 
     Two things come from the single chokepoint:
 
@@ -142,12 +142,6 @@ val sync_channel : string -> out_channel -> (unit, error) result
 
 val rename : string -> string -> (unit, error) result
 val read_file : string -> (string, error) result
-
-(** [probe op path] — consult the armed chaos plan only, without
-    performing any I/O: [Some err] when a fault fires.  For call sites
-    with bespoke syscall sequences (the store's O_EXCL lock files)
-    that still need to sit under the storm. *)
-val probe : op -> string -> error option
 
 (** [Result.get_ok] with {!Io_error} instead of [Invalid_argument]. *)
 val get_ok : (unit, error) result -> unit

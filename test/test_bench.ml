@@ -39,7 +39,23 @@ let test_int_input_parsing () =
   Alcotest.check ints "bad token" (Error "\"x\" is not an integer")
     (B.ints_of_string "6, x");
   Alcotest.check ints "first bad token" (Error "\"x\" is not an integer")
-    (B.ints_of_string "6,,x,y")
+    (B.ints_of_string "6,,x,y");
+  (* the other CLI values: -j, --fault and the fault classes *)
+  let ok_jobs = function Ok _ -> true | Error _ -> false in
+  Alcotest.(check (list bool)) "job counts" [ true; true; false; false; false ]
+    (List.map
+       (fun s -> ok_jobs (B.jobs_of_string s))
+       [ "0"; "4"; "-1"; "two"; "" ]);
+  Alcotest.(check (result (pair string string) string)) "fault reference"
+    (Ok ("gzipsim", "V2-F3"))
+    (B.fault_ref_of_string "gzipsim/V2-F3");
+  List.iter
+    (fun s ->
+      Alcotest.(check bool) (Printf.sprintf "%S rejected" s) true
+        (Result.is_error (B.fault_ref_of_string s)))
+    [ "gzipsim"; "gzipsim/"; "/V2-F3"; "" ];
+  Alcotest.(check bool) "unknown fault class" true
+    (Exom_corpus.Seeder.class_of_string "bogus" = None)
 
 let test_fault_line_and_source () =
   let bench = find_bench "gzipsim" in

@@ -1,9 +1,9 @@
 (* Tests for the Exom_corpus subsystem: the program factory's seed
    determinism, the seeder's validated-omission contract, manifest and
    campaign byte-determinism across job and shard counts, crash-safe
-   campaign resume, the miner's roundtrip, and the committed example
-   fixtures (collatz/histogram) as (faulty, correct, input, root)
-   triples the seeder and locator both accept. *)
+   campaign resume, the miner's table (read back by the ranker), and
+   the committed example fixtures (collatz/histogram) as (faulty,
+   correct, input, root) triples the seeder and locator both accept. *)
 
 module Pretty = Exom_lang.Pretty
 module Typecheck = Exom_lang.Typecheck
@@ -342,10 +342,10 @@ let test_mine_roundtrip () =
       Alcotest.(check string)
         "deterministic" s1
         (Mine.table_to_string (Mine.mine rows));
-      (match Mine.table_of_string s1 with
+      (* the ranker, the table's one production reader, accepts it *)
+      (match Exom_rank.Rank.model_of_string s1 with
       | Error e -> Alcotest.fail e
-      | Ok t ->
-        Alcotest.(check string) "roundtrip" s1 (Mine.table_to_string t));
+      | Ok _ -> ());
       Alcotest.(check int)
         "totals cover every row"
         (List.length rows)

@@ -12,6 +12,7 @@ module Pipeline = Exom_core.Pipeline
 module Recover = Exom_core.Recover
 module Slice = Exom_ddg.Slice
 module Pool = Exom_sched.Pool
+module Store = Exom_sched.Store
 module Ledger = Exom_ledger.Ledger
 module Obs = Exom_obs.Obs
 module Spine = Exom_obs.Spine
@@ -69,11 +70,11 @@ let other_fixture = suite_fault "sedsim" "V3-F2"
    (the real --resume flow: match the journal against the session,
    prime, mark the new journal as a resumed continuation).  Returns the
    canonical ledger, the report and what became of the plan. *)
-let pipeline_run ?obs ?plan ~jobs (bench, fault, faulty, correct) path =
+let pipeline_run ?obs ?store ?plan ~jobs (bench, fault, faulty, correct) path =
   let ledger = Ledger.create () in
   let prepared =
     match
-      Pipeline.prepare ?obs ~ledger ~profile_inputs:bench.B.test_inputs
+      Pipeline.prepare ?obs ?store ~ledger ~profile_inputs:bench.B.test_inputs
         ~prog:faulty ~correct ~input:fault.B.failing_input ()
     with
     | Ok p -> p
@@ -485,6 +486,34 @@ let test_absent_journal_cold () =
     | Some p -> p.Recover.complete
     | None -> false)
 
+(* Replay seeds the store with every recorded verdict; entries are
+   content addressed, so the ones already on disk are left as they
+   are — not rewritten with the same bytes. *)
+let test_replay_leaves_store_entries () =
+  let dir = fresh_path () in
+  let run ?plan path =
+    pipeline_run ~store:(Store.create ~dir ()) ?plan ~jobs:1
+      (Lazy.force fixture) path
+  in
+  (* every file under the store, whatever its layout *)
+  let rec inodes_under p =
+    if Sys.is_directory p then
+      Sys.readdir p |> Array.to_list |> List.sort compare
+      |> List.concat_map (fun f -> inodes_under (Filename.concat p f))
+    else [ (p, (Unix.stat p).Unix.st_ino) ]
+  in
+  let inodes () = inodes_under dir in
+  let first = fresh_path () in
+  let ledger, _, _ = run first in
+  let before = inodes () in
+  Alcotest.(check bool) "the first run filled the store" true (before <> []);
+  let resumed, _, how = run ~plan:(plan_of "first run" first) (fresh_path ()) in
+  Alcotest.(check bool) "the journal was replayed" true
+    (match how with Pipeline.Replayed _ -> true | _ -> false);
+  Alcotest.(check string) "ledger byte-identical" ledger resumed;
+  Alcotest.(check (list (pair string int))) "every entry's inode unchanged"
+    before (inodes ())
+
 let test_describe () =
   let plan = baseline_plan () in
   let out = Recover.describe plan in
@@ -494,30 +523,38 @@ let test_describe () =
     (contains out "complete (Final event present)")
 
 let () =
-  Fun.protect
-    ~finally:(fun () ->
-      List.iter (fun p -> if Sys.file_exists p then Sys.remove p) !cleanup)
-    (fun () ->
-      Alcotest.run "recover"
+  (* [Alcotest.run] exits the process, so clean up at exit *)
+  at_exit (fun () ->
+      let rec remove p =
+        if Sys.is_directory p then begin
+          Array.iter (fun f -> remove (Filename.concat p f)) (Sys.readdir p);
+          Sys.rmdir p
+        end
+        else Sys.remove p
+      in
+      List.iter (fun p -> if Sys.file_exists p then remove p) !cleanup);
+  Alcotest.run "recover"
+    [
+      ( "resume",
         [
-          ( "resume",
-            [
-              Alcotest.test_case "kill points resume byte-identical" `Quick
-                test_resume_byte_identical;
-              Alcotest.test_case "replayed work is not re-charged" `Quick
-                test_resume_accounting;
-              Alcotest.test_case "complete journal replays entirely" `Quick
-                test_complete_journal_resumes_to_itself;
-              Alcotest.test_case "multi-generation crash chain" `Quick
-                test_multi_generation_chain;
-              Alcotest.test_case "crash chain with journal ENOSPC" `Quick
-                test_multi_generation_chain_with_enospc;
-              Alcotest.test_case "kill-chain coordinator spine" `Quick
-                test_kill_chain_spine;
-              Alcotest.test_case "foreign journal rejected" `Quick
-                test_foreign_journal_rejected;
-              Alcotest.test_case "absent journal is cold" `Quick
-                test_absent_journal_cold;
-              Alcotest.test_case "salvage description" `Quick test_describe;
-            ] );
-        ])
+          Alcotest.test_case "kill points resume byte-identical" `Quick
+            test_resume_byte_identical;
+          Alcotest.test_case "replayed work is not re-charged" `Quick
+            test_resume_accounting;
+          Alcotest.test_case "complete journal replays entirely" `Quick
+            test_complete_journal_resumes_to_itself;
+          Alcotest.test_case "multi-generation crash chain" `Quick
+            test_multi_generation_chain;
+          Alcotest.test_case "crash chain with journal ENOSPC" `Quick
+            test_multi_generation_chain_with_enospc;
+          Alcotest.test_case "kill-chain coordinator spine" `Quick
+            test_kill_chain_spine;
+          Alcotest.test_case "foreign journal rejected" `Quick
+            test_foreign_journal_rejected;
+          Alcotest.test_case "absent journal is cold" `Quick
+            test_absent_journal_cold;
+          Alcotest.test_case "replay leaves store entries alone" `Quick
+            test_replay_leaves_store_entries;
+          Alcotest.test_case "salvage description" `Quick test_describe;
+        ] );
+    ]

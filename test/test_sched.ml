@@ -99,24 +99,14 @@ let test_disk_round_trip () =
       ignore (Store.find s2 k);
       Alcotest.(check int) "promoted" 1 (Store.stats s2).Store.hits)
 
-(* Entry files only: skip the layout's own bookkeeping (MANIFEST,
-   shard locks, quarantine). *)
+(* The files of a flat store directory, quarantine aside. *)
 let entry_files dir =
-  let files = ref [] in
-  let rec walk p =
-    if Filename.basename p = "quarantine" then ()
-    else if Sys.is_directory p then
-      Array.iter (fun f -> walk (Filename.concat p f)) (Sys.readdir p)
-    else
-      let b = Filename.basename p in
-      if b <> "MANIFEST" && not (Filename.check_suffix b ".lock") then
-        files := p :: !files
-  in
-  walk dir;
-  List.sort compare !files
+  Sys.readdir dir |> Array.to_list
+  |> List.filter (( <> ) "quarantine")
+  |> List.map (Filename.concat dir)
+  |> List.sort compare
 
 let entry_file dir =
-  (* the single entry's file, wherever the shard put it *)
   match entry_files dir with
   | [ f ] -> f
   | l -> Alcotest.failf "expected one entry file, found %d" (List.length l)
@@ -161,88 +151,43 @@ let test_hit_rate () =
   Alcotest.(check (float 1e-9)) "1 hit / 2 lookups" 0.5
     (Store.hit_rate (Store.stats s))
 
-(* {2 Multi-writer disk tier: manifest, locks, quarantine} *)
-
-let test_manifest_governs_layout () =
+(* Opening a store writes nothing: not into an empty directory, and
+   not into one left in the older sharded layout, whose entries are
+   not read — a lookup misses without counting corruption, and the
+   verdict lands in the flat layout. *)
+let test_open_writes_nothing () =
   with_temp_dir (fun dir ->
-      let s1 = Store.create ~dir ~shards:4 () in
-      Alcotest.(check int) "requested shards adopted" 4 (Store.shard_count s1);
-      Alcotest.(check bool) "manifest written" true
-        (Sys.file_exists (Filename.concat dir "MANIFEST"));
-      (* a second writer asking for a different partitioning must defer
-         to the manifest, or the two would shard incompatibly *)
-      let s2 = Store.create ~dir ~shards:32 () in
-      Alcotest.(check int) "existing manifest wins" 4 (Store.shard_count s2);
-      let k = Store.digest [ "cross" ] in
-      Store.add s1 ~key:k "payload";
-      Alcotest.(check (option string))
-        "entry visible across handles" (Some "payload") (Store.find s2 k))
-
-let test_foreign_layout_quarantined () =
-  with_temp_dir (fun dir ->
-      (* a directory claiming an alien layout, with content laid out
-         under it: adopt nothing, quarantine everything, keep going *)
       Sys.mkdir dir 0o755;
-      let oc = open_out (Filename.concat dir "MANIFEST") in
-      output_string oc "{\"schema\":\"someone-elses-cache\",\"version\":9}\n";
-      close_out oc;
-      Sys.mkdir (Filename.concat dir "shard-000") 0o755;
-      let oc = open_out (Filename.concat dir "shard-000" ^ "/orphan") in
-      output_string oc "alien bytes";
-      close_out oc;
-      let s = Store.create ~dir () in
-      Alcotest.(check bool) "foreign content quarantined" true
-        ((Store.lock_stats s).Store.lock_waits >= 0
-        && (Store.lock_stats s).Store.quarantined >= 2);
-      Alcotest.(check bool) "directory reinitialized" true
-        (Sys.file_exists (Filename.concat dir "MANIFEST"));
-      Alcotest.(check int) "fresh manifest adopted" Store.default_shards
-        (Store.shard_count s);
-      (* the store works normally afterwards *)
-      let k = Store.digest [ "after" ] in
-      Store.add s ~key:k "v";
-      Alcotest.(check (option string)) "usable" (Some "v") (Store.find s k))
-
-let test_stale_tmp_lock_swept () =
+      ignore (Store.create ~dir ());
+      Alcotest.(check (array string)) "empty dir stays empty" [||]
+        (Sys.readdir dir));
   with_temp_dir (fun dir ->
-      (* a stealer crashed between its rename steps and a writer killed
-         mid-entry leave pid-stamped litter behind; once their pids are
-         dead, the next open sweeps both — live litter is left alone *)
-      let k = Store.digest [ "sweep" ] in
-      let s1 = Store.create ~dir () in
-      Store.add s1 ~key:k "v";
-      let drop path =
+      let k = Store.digest [ "older layout" ] in
+      let write path content =
         let oc = open_out_bin path in
-        close_out oc;
-        path
+        output_string oc content;
+        close_out oc
       in
-      (* far above any real pid_max, so provably dead *)
-      let dead = 99_999_999 in
-      let orphan_lock =
-        drop (Filename.concat dir (Printf.sprintf "e.lock.stale.%d.3" dead))
-      in
-      let shard0 = Filename.concat dir "shard-000" in
-      if not (Sys.file_exists shard0) then Unix.mkdir shard0 0o755;
-      let orphan_tmp =
-        drop (Filename.concat shard0 (Printf.sprintf "deadbeef.tmp.%d" dead))
-      in
-      let live_lock =
-        drop
-          (Filename.concat dir
-             (Printf.sprintf "e.lock.stale.%d.1" (Unix.getpid ())))
-      in
-      let s2 = Store.create ~dir () in
-      Alcotest.(check int) "both orphans counted" 2
-        (Store.lock_stats s2).Store.tmp_swept;
-      Alcotest.(check bool) "orphaned stale lock removed" false
-        (Sys.file_exists orphan_lock);
-      Alcotest.(check bool) "orphaned entry temp removed" false
-        (Sys.file_exists orphan_tmp);
-      Alcotest.(check bool) "live writer's litter untouched" true
-        (Sys.file_exists live_lock);
-      (* the swept store still serves the persisted entry *)
-      Alcotest.(check (option string)) "store intact" (Some "v")
-        (Store.find s2 k))
+      Sys.mkdir dir 0o755;
+      write (Filename.concat dir "MANIFEST")
+        "{\"schema\":\"exom.store\",\"version\":2,\"shards\":16}\n";
+      Sys.mkdir (Filename.concat dir "shard-007") 0o755;
+      write
+        (Filename.concat (Filename.concat dir "shard-007") k)
+        (Printf.sprintf "#exom-store v%d\n%s\n5\nstale" Store.version k);
+      let before = entry_files dir in
+      let s = Store.create ~dir () in
+      Alcotest.(check (list string)) "open writes nothing" before
+        (entry_files dir);
+      Alcotest.(check (option string)) "older entry not read" None
+        (Store.find s k);
+      Alcotest.(check int) "a miss, not corruption" 0
+        (Store.stats s).Store.corrupted;
+      Store.add s ~key:k "fresh";
+      Alcotest.(check bool) "written flat" true
+        (Sys.file_exists (Filename.concat dir k)))
+
+(* {2 Multi-writer disk tier} *)
 
 let test_corrupt_entry_quarantined () =
   with_temp_dir (fun dir ->
@@ -250,11 +195,12 @@ let test_corrupt_entry_quarantined () =
       let s1 = Store.create ~dir () in
       Store.add s1 ~key:k "value";
       corrupt_with dir "garbage";
-      let s2 = Store.create ~dir () in
+      let obs = Exom_obs.Obs.create () in
+      let s2 = Store.create ~obs ~dir () in
       Alcotest.(check (option string)) "rejected" None (Store.find s2 k);
       Alcotest.(check int) "moved aside" 1
-        (Store.lock_stats s2).Store.quarantined;
-      Alcotest.(check (list string)) "no entry left in the shard" []
+        (Metrics.counter_value (Exom_obs.Obs.metrics obs) "store.quarantined");
+      Alcotest.(check (list string)) "no entry left in the directory" []
         (entry_files dir);
       Alcotest.(check bool) "preserved for post-mortem" true
         (Sys.file_exists (Filename.concat dir "quarantine")
@@ -263,49 +209,9 @@ let test_corrupt_entry_quarantined () =
       ignore (Store.find s2 k);
       Alcotest.(check int) "counted once" 1 (Store.stats s2).Store.corrupted)
 
-(* A writer that died holding a shard lock must not wedge the cache:
-   the pid in the lock is provably dead, so the next writer steals. *)
-let test_dead_holder_lock_stolen () =
-  with_temp_dir (fun dir ->
-      let s = Store.create ~dir ~shards:1 () in
-      let dead_pid =
-        match Unix.fork () with
-        | 0 -> Unix._exit 0
-        | pid ->
-          ignore (Unix.waitpid [] pid);
-          pid
-      in
-      let lock = Filename.concat dir "shard-000.lock" in
-      let oc = open_out lock in
-      output_string oc (string_of_int dead_pid);
-      close_out oc;
-      let k = Store.digest [ "steal-me" ] in
-      Store.add s ~key:k "v";
-      Alcotest.(check int) "stolen immediately" 1
-        (Store.lock_stats s).Store.lock_steals;
-      Alcotest.(check (option string))
-        "write went through" (Some "v")
-        (Store.find (Store.create ~dir ()) k))
-
-(* A live-but-wedged holder is stolen from once the lease expires. *)
-let test_expired_lease_stolen () =
-  with_temp_dir (fun dir ->
-      let s = Store.create ~dir ~shards:1 ~lease:0.05 () in
-      let lock = Filename.concat dir "shard-000.lock" in
-      let oc = open_out lock in
-      (* our own pid: alive, so only the lease can unstick this *)
-      output_string oc (string_of_int (Unix.getpid ()));
-      close_out oc;
-      let past = Unix.gettimeofday () -. 10.0 in
-      Unix.utimes lock past past;
-      let k = Store.digest [ "lease" ] in
-      Store.add s ~key:k "v";
-      Alcotest.(check int) "stolen after the lease" 1
-        (Store.lock_stats s).Store.lock_steals)
-
 (* The acceptance test: two processes hammering one store directory
-   concurrently lose no entries, corrupt no shards, and agree with the
-   single-process result. *)
+   concurrently, with no lock between them, lose no entries, corrupt
+   nothing, and agree with the single-process result. *)
 let test_two_process_hammer () =
   with_temp_dir (fun dir ->
       let n = 200 in
@@ -316,7 +222,7 @@ let test_two_process_hammer () =
         | 0 ->
           let ok =
             try
-              let s = Store.create ~dir ~shards:8 () in
+              let s = Store.create ~dir () in
               (* interleave writes and reads over the shared keyspace,
                  each child starting from a different offset *)
               for j = 0 to n - 1 do
@@ -337,7 +243,7 @@ let test_two_process_hammer () =
           | _, Unix.WEXITED 0 -> ()
           | _, _ -> Alcotest.fail "hammer child failed")
         pids;
-      (* no torn temp files, no stuck locks, nothing quarantined *)
+      (* no torn temp files, nothing quarantined *)
       let leftovers =
         entry_files dir
         |> List.filter (fun f ->
@@ -359,7 +265,7 @@ let test_two_process_hammer () =
       Alcotest.(check int) "no corruption" 0
         (Store.stats survivor).Store.corrupted;
       with_temp_dir (fun solo_dir ->
-          let solo = Store.create ~dir:solo_dir ~shards:8 () in
+          let solo = Store.create ~dir:solo_dir () in
           for i = 0 to n - 1 do
             Store.add solo ~key:(key i) (value i)
           done;
@@ -671,21 +577,13 @@ let () =
           Alcotest.test_case "corrupted entries rejected" `Quick
             test_corrupted_rejected;
           Alcotest.test_case "hit rate" `Quick test_hit_rate;
+          Alcotest.test_case "opening a store writes nothing" `Quick
+            test_open_writes_nothing;
         ] );
       ( "multi-writer",
         [
-          Alcotest.test_case "manifest governs the layout" `Quick
-            test_manifest_governs_layout;
-          Alcotest.test_case "foreign layout quarantined" `Quick
-            test_foreign_layout_quarantined;
           Alcotest.test_case "corrupt entry quarantined" `Quick
             test_corrupt_entry_quarantined;
-          Alcotest.test_case "stale tmp locks swept" `Quick
-            test_stale_tmp_lock_swept;
-          Alcotest.test_case "dead holder's lock stolen" `Quick
-            test_dead_holder_lock_stolen;
-          Alcotest.test_case "expired lease stolen" `Quick
-            test_expired_lease_stolen;
           Alcotest.test_case "two processes hammer one dir" `Quick
             test_two_process_hammer;
         ] );

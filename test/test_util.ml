@@ -257,15 +257,19 @@ let test_vfs_targeted_fires_once () =
 
 let test_vfs_seeded_deterministic () =
   with_disarmed (fun () ->
+      let base = tmp_path () in
+      let paths = List.init 7 (fun i -> Printf.sprintf "%s.p%d" base i) in
       let run () =
         Vfs.arm (Vfs.Io_chaos.of_seed ~rate:3 ~per_path:99 42);
+        (* one chaos decision per unsynced append *)
         let decisions =
           List.init 40 (fun i ->
-              match Vfs.probe Vfs.Write (Printf.sprintf "p%d" (i mod 7)) with
-              | Some e -> Vfs.fault_to_string (Option.get e.Vfs.ve_fault)
-              | None -> ".")
+              match Vfs.append ~fsync:false (List.nth paths (i mod 7)) "x" with
+              | Error e -> Vfs.fault_to_string (Option.get e.Vfs.ve_fault)
+              | Ok () -> ".")
         in
         Vfs.disarm ();
+        List.iter (fun p -> if Sys.file_exists p then Sys.remove p) paths;
         decisions
       in
       let a = run () and b = run () in
