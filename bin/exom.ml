@@ -23,7 +23,7 @@
              faults), run (sharded campaign, crash-safe resume), report,
              mine (feature tables), seed (inject one fault in a file)
      chaos   seeded storage-fault storm over suite faults and corpus
-             triples (io-chaos + worker kills + kill/resume cuts);
+             triples (io-chaos + kill/resume cuts);
              --check gates on the degradation-contract invariants      *)
 
 module Ast = Exom_lang.Ast
@@ -311,12 +311,10 @@ let store_arg =
            read from and written to DIR (created if missing), keyed by \
            content hash of program, input, switch, budget and mode")
 
-let resilience_policy ~max_retries ~deadline ~breaker =
-  match (max_retries, deadline, breaker) with
-  | Some r, _, _ when r < 0 -> Error "exom: --max-retries must be >= 0"
-  | _, Some d, _ when d <= 0.0 ->
-    Error "exom: --verify-deadline must be positive"
-  | _, _, Some k when k < 1 -> Error "exom: --breaker must be >= 1"
+let resilience_policy ~max_retries ~breaker =
+  match (max_retries, breaker) with
+  | Some r, _ when r < 0 -> Error "exom: --max-retries must be >= 0"
+  | _, Some k when k < 1 -> Error "exom: --breaker must be >= 1"
   | _ ->
     let backoff =
       match max_retries with
@@ -330,21 +328,24 @@ let resilience_policy ~max_retries ~deadline ~breaker =
     Ok
       {
         Guard.backoff;
-        deadline;
         breaker_threshold =
           Option.value ~default:Guard.default_policy.Guard.breaker_threshold
             breaker;
       }
 
 let locate_cmd =
-  let action file correct_file input text root_line chaos_seed verify_deadline
-      max_retries breaker jobs store_dir trace_out metrics_out ledger_out
-      resume no_rank rank_model =
+  let action file correct_file input text root_line chaos_seed max_retries
+      breaker jobs store_dir trace_out metrics_out ledger_out resume no_rank
+      rank_model =
     let* faulty = compile_file file in
     let* correct = compile_file correct_file in
-    let* policy =
-      resilience_policy ~max_retries ~deadline:verify_deadline ~breaker
+    let* root_sids =
+      match (root_line, Pipeline.root_sids_of_line faulty root_line) with
+      | Some line, Error e ->
+        Error (Printf.sprintf "exom: --root-line %d: %s" line e)
+      | _, roots -> roots
     in
+    let* policy = resilience_policy ~max_retries ~breaker in
     (* The salvage read happens before the journal is re-attached to
        the same path (attaching truncates). *)
     let* resume_plan =
@@ -392,8 +393,7 @@ let locate_cmd =
     in
     let report, resumed =
       Pipeline.locate ~config ~pool ?journal:ledger_out ?resume:resume_plan
-        prepared
-        ~root_sids:(Pipeline.root_sids_of_line faulty root_line)
+        prepared ~root_sids
     in
     (match resumed with
     | Pipeline.Replayed plan ->
@@ -405,8 +405,8 @@ let locate_cmd =
         (if plan.Recover.truncated then " (torn tail dropped)" else "")
     | Pipeline.Mismatched ->
       prerr_endline
-        "resume: journal does not describe this program/input/budget; \
-         starting cold"
+        "resume: journal does not describe this program/input/budget/chaos \
+         seed; starting cold"
     | Pipeline.Cold -> ());
     write_obs obs ~trace_out ~metrics_out;
     write_ledger ledger ~ledger_out;
@@ -437,15 +437,6 @@ let locate_cmd =
             "Inject a deterministic, seed-derived fault (crash, budget \
              truncation, value corruption, or a raw exception) into every \
              switched re-execution; the locator must degrade, not die")
-  in
-  let deadline_arg =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "verify-deadline" ] ~docv:"SECONDS"
-          ~doc:
-            "Wall-clock deadline for one verification: budget escalation \
-             stops once it is exceeded")
   in
   let max_retries_arg =
     Arg.(
@@ -506,7 +497,7 @@ let locate_cmd =
        ~doc:"Demand-driven execution-omission-error localization")
     Term.(
       const action $ file_arg $ correct_arg $ input_arg $ text_arg $ root_arg
-      $ chaos_seed_arg $ deadline_arg $ max_retries_arg $ breaker_arg
+      $ chaos_seed_arg $ max_retries_arg $ breaker_arg
       $ jobs_arg $ store_arg $ trace_out_arg $ metrics_out_arg
       $ ledger_out_arg $ resume_arg $ no_rank_arg $ rank_model_arg)
 
@@ -898,10 +889,9 @@ let bench_one name fid jobs store_dir trace_out metrics_out ledger_out export
         let g = r.Runner.robustness in
         Printf.printf
           "  robustness: %d completed, %d aborted, %d retried, breaker \
-           trips/skips %d/%d, deadline %d, captured %d\n"
+           trips/skips %d/%d, captured %d\n"
           g.Guard.completed g.Guard.aborted g.Guard.retried
-          g.Guard.breaker_trips g.Guard.breaker_skips g.Guard.deadline_expired
-          g.Guard.captured;
+          g.Guard.breaker_trips g.Guard.breaker_skips g.Guard.captured;
         0)
 
 let bench_cmd =
@@ -1533,9 +1523,7 @@ let chaos_cmd =
     Arg.(
       value & opt jobs_conv 2
       & info [ "j"; "jobs" ] ~docv:"N"
-          ~doc:
-            "Verification pool size per localization (>= 2 gives worker \
-             kills a supervisor)")
+          ~doc:"Verification pool size per localization")
   in
   let corpus_arg =
     Arg.(
@@ -1582,9 +1570,8 @@ let chaos_cmd =
     (Cmd.info "chaos"
        ~doc:
          "Storm every persistence path with seeded storage faults \
-          (ENOSPC, EIO, torn writes, torn renames) composed with worker \
-          kills and kill+resume cuts, and audit the degradation \
-          contracts")
+          (ENOSPC, EIO, torn writes, torn renames) composed with \
+          kill+resume cuts, and audit the degradation contracts")
     Term.(
       const action $ seed_arg $ jobs_arg $ corpus_arg $ dir_arg $ out_arg
       $ faults_arg $ check_arg)

@@ -8,12 +8,10 @@ module Typecheck = Exom_lang.Typecheck
 module Demand = Exom_core.Demand
 module Pipeline = Exom_core.Pipeline
 module Recover = Exom_core.Recover
-module Guard = Exom_core.Guard
 module Slice = Exom_ddg.Slice
 module Pool = Exom_sched.Pool
 module Store = Exom_sched.Store
 module Ledger = Exom_ledger.Ledger
-module Chaos = Exom_interp.Chaos
 module Campaign = Exom_corpus.Campaign
 module Json = Exom_obs.Json
 module Vfs = Exom_util.Vfs
@@ -104,11 +102,11 @@ let fixture (name, fid) =
 (* One journaled localization through the pipeline the CLI and the
    campaign run.  Returns the canonical ledger, the report and the
    ledger's absorbed journal-failure count. *)
-let journaled_run ?plan ?store ?chaos ~jobs fx journal =
+let journaled_run ?plan ?store ~jobs fx journal =
   let ledger = Ledger.create () in
   let prepared =
     match
-      Pipeline.prepare ?chaos ?store ~ledger
+      Pipeline.prepare ?store ~ledger
         ~profile_inputs:fx.fx_bench.Bench_types.test_inputs ~prog:fx.fx_faulty
         ~correct:fx.fx_correct ~input:fx.fx_input ()
     with
@@ -264,29 +262,7 @@ let suite_legs tally ~seed ~jobs ~dir spec =
               note "resumed ledger diverged beyond the degradation marker"
             end)
     in
-    let kill_leg =
-      leg_run tally (fx.fx_label ^ " kill-worker+io-chaos") (fun note ->
-          let store = Store.create ~dir:(path "store_kw") () in
-          Vfs.arm (Vfs.Io_chaos.of_seed (mix (seed lxor 0x5712b33)));
-          let chaos =
-            { Chaos.seed = mix (seed lxor 0x7ee1); fault = Chaos.Kill_worker 64 }
-          in
-          let _, report, _ =
-            journaled_run ~store ~chaos ~jobs:(max 2 jobs) fx
-              (path "killworker.jsonl")
-          in
-          (* worker quarantine legitimately degrades verdicts to NOT_ID;
-             only an undegraded run must still agree with the baseline *)
-          if
-            report.Demand.degraded = None
-            && report.Demand.robustness.Guard.quarantined = 0
-            && verdict report <> verdict base_report
-          then begin
-            tally.wrong <- tally.wrong + 1;
-            note "undegraded kill-worker run drifted from the baseline"
-          end)
-    in
-    [ base_leg; io_leg; resume_leg; kill_leg ]
+    [ base_leg; io_leg; resume_leg ]
 
 (* {2 The corpus legs} *)
 

@@ -1,6 +1,6 @@
 (** The [exom chaos] storm runner: seeded storage-fault campaigns over
-    suite faults and generated corpus triples, composed with worker
-    kills and kill→resume cuts, asserting the standing invariants of
+    suite faults and generated corpus triples, composed with
+    kill→resume cuts, asserting the standing invariants of
     the storage fault model (DESIGN.md §15):
 
     - a localization {e never raises} out of [Demand.locate], whatever
@@ -41,17 +41,15 @@ type report = {
 
     - per suite fault in [faults] (default gzipsim V2-F3 and grepsim
       V4-F2): a fault-free journaled baseline, a seeded {!Io_chaos}
-      storm over the same localization, a kill→resume cut whose resumed
-      generation runs under a targeted journal-fsync ENOSPC, and a
-      composition leg pairing [Io_chaos] with an interpreter
-      [Kill_worker];
+      storm over the same localization, and a kill→resume cut whose
+      resumed generation runs under a targeted journal-fsync ENOSPC;
     - when [corpus > 0] (default 20): a generated corpus campaign run
       fault-free, re-run under [Io_chaos] (shard quarantine allowed,
       surviving rows must match), then resumed fault-free to
       completion.
 
-    [jobs] sizes the verification pools (default 2, so worker kills
-    have a supervisor).  The armed plan is always disarmed on exit. *)
+    [jobs] sizes the verification pools (default 2).  The armed plan is
+    always disarmed on exit. *)
 val run :
   ?jobs:int ->
   ?corpus:int ->

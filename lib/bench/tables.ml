@@ -120,9 +120,9 @@ let table_4 results =
 let robustness results =
   table
     "== Robustness telemetry (switched re-executions during Table 3/4 runs) =="
-    "LLRRRRRRR"
+    "LLRRRRRR"
     [ "Benchmark"; "Error"; "runs"; "completed"; "aborted"; "retried";
-      "breaker trips/skips"; "deadline"; "captured" ]
+      "breaker trips/skips"; "captured" ]
     (List.map
        (fun (r : Runner.result) ->
          let g = r.Runner.robustness in
@@ -133,7 +133,6 @@ let robustness results =
            string_of_int g.Guard.aborted;
            string_of_int g.Guard.retried;
            Printf.sprintf "%d/%d" g.Guard.breaker_trips g.Guard.breaker_skips;
-           string_of_int g.Guard.deadline_expired;
            string_of_int g.Guard.captured ])
        results)
 

@@ -412,7 +412,6 @@ let locate ?(config = default_config) ?pool (s : Session.t) ~oracle
   sync "guard.completed" g.Guard.completed;
   sync "guard.aborted" g.Guard.aborted;
   sync "guard.retried" g.Guard.retried;
-  sync "guard.deadline_expired" g.Guard.deadline_expired;
   sync "guard.breaker_trips" g.Guard.breaker_trips;
   sync "guard.breaker_skips" g.Guard.breaker_skips;
   sync "guard.captured" g.Guard.captured;

@@ -28,8 +28,8 @@ type report = {
   verif_seconds : float;  (** Table 4 Verif. *)
   robustness : Guard.stats;
       (** robustness telemetry: completed/aborted/retried re-executions,
-          breaker trips and skips, deadline expirations, contained
-          exceptions.  [completed + aborted = verifications]. *)
+          breaker trips and skips, contained exceptions.
+          [completed + aborted = verifications]. *)
   store : Exom_sched.Store.stats;
       (** verdict-store counters: memory/disk hits, misses, evictions,
           corrupted entries rejected, writes *)

@@ -4,19 +4,14 @@ module Interp = Exom_interp.Interp
 type verify_failure =
   | Run_crashed of string
   | Run_budget_exhausted
-  | Deadline_expired of float
   | Breaker_open of int
   | Captured of string
-  | Worker_quarantined of int
 
 let failure_to_string = function
   | Run_crashed msg -> "switched run crashed: " ^ msg
   | Run_budget_exhausted -> "switched run exhausted every escalated budget"
-  | Deadline_expired s -> Printf.sprintf "verification deadline expired (%.3fs)" s
   | Breaker_open sid -> Printf.sprintf "circuit breaker open for predicate s%d" sid
   | Captured msg -> "unexpected exception contained: " ^ msg
-  | Worker_quarantined k ->
-    Printf.sprintf "verification quarantined after killing %d workers" k
 
 (* A compact, parseable codec for the checkpoint events the ledger
    journals: [failure_to_string] is for humans and not injective enough
@@ -24,10 +19,8 @@ let failure_to_string = function
 let failure_code = function
   | Run_crashed msg -> "crashed:" ^ msg
   | Run_budget_exhausted -> "budget"
-  | Deadline_expired s -> Printf.sprintf "deadline:%h" s
   | Breaker_open sid -> Printf.sprintf "breaker:%d" sid
   | Captured msg -> "captured:" ^ msg
-  | Worker_quarantined k -> Printf.sprintf "quarantined:%d" k
 
 let failure_of_code s =
   let tail p = String.sub s (String.length p) (String.length s - String.length p) in
@@ -36,48 +29,33 @@ let failure_of_code s =
   in
   if has "crashed:" then Some (Run_crashed (tail "crashed:"))
   else if s = "budget" then Some Run_budget_exhausted
-  else if has "deadline:" then
-    Option.map (fun f -> Deadline_expired f) (float_of_string_opt (tail "deadline:"))
   else if has "breaker:" then
     Option.map (fun n -> Breaker_open n) (int_of_string_opt (tail "breaker:"))
   else if has "captured:" then Some (Captured (tail "captured:"))
-  else if has "quarantined:" then
-    Option.map (fun n -> Worker_quarantined n)
-      (int_of_string_opt (tail "quarantined:"))
   else None
 
-type policy = {
-  backoff : Backoff.t;
-  deadline : float option;
-  breaker_threshold : int;
-}
+type policy = { backoff : Backoff.t; breaker_threshold : int }
 
-let default_policy =
-  { backoff = Backoff.default; deadline = None; breaker_threshold = 8 }
-
-let strict_policy =
-  { backoff = Backoff.none; deadline = None; breaker_threshold = max_int }
+let default_policy = { backoff = Backoff.default; breaker_threshold = 8 }
+let strict_policy = { backoff = Backoff.none; breaker_threshold = max_int }
 
 type stats = {
   mutable completed : int;
   mutable aborted : int;
   mutable retried : int;
-  mutable deadline_expired : int;
   mutable breaker_trips : int;
   mutable breaker_skips : int;
   mutable captured : int;
-  mutable quarantined : int;
 }
 
 let zero_stats () =
-  { completed = 0; aborted = 0; retried = 0; deadline_expired = 0;
-    breaker_trips = 0; breaker_skips = 0; captured = 0; quarantined = 0 }
+  { completed = 0; aborted = 0; retried = 0; breaker_trips = 0;
+    breaker_skips = 0; captured = 0 }
 
 let snapshot s =
   { completed = s.completed; aborted = s.aborted; retried = s.retried;
-    deadline_expired = s.deadline_expired; breaker_trips = s.breaker_trips;
-    breaker_skips = s.breaker_skips; captured = s.captured;
-    quarantined = s.quarantined }
+    breaker_trips = s.breaker_trips; breaker_skips = s.breaker_skips;
+    captured = s.captured }
 
 (* A worker-local accounting view: stats and journal entries land here
    while the shared breaker table (sid-serialized by the batch planner)
@@ -121,11 +99,9 @@ let absorb t sh =
   a.completed <- a.completed + b.completed;
   a.aborted <- a.aborted + b.aborted;
   a.retried <- a.retried + b.retried;
-  a.deadline_expired <- a.deadline_expired + b.deadline_expired;
   a.breaker_trips <- a.breaker_trips + b.breaker_trips;
   a.breaker_skips <- a.breaker_skips + b.breaker_skips;
   a.captured <- a.captured + b.captured;
-  a.quarantined <- a.quarantined + b.quarantined;
   (* both lists are newest-first; prepending keeps shard order *)
   t.root.sh_journal <- sh.sh_journal @ t.root.sh_journal
 
@@ -133,14 +109,13 @@ let tuning_of t ~sid = Hashtbl.find_opt t.tunings sid
 
 (* Replace the policy's static knobs for the predicates the failure
    journal has already convicted.  The rule is deliberately narrow and
-   deterministic: only failure kinds that are a pure function of
-   (program, input, budget, chaos seed) count — [Run_crashed],
+   deterministic: only the failures of a run count — [Run_crashed],
    [Run_budget_exhausted] (recorded only after the *whole* escalation
-   ladder failed) and [Captured].  Wall-clock-dependent kinds
-   ([Deadline_expired]) and scheduler artifacts ([Worker_quarantined],
-   [Breaker_open]) are excluded, so the derived tunings — like the
-   journal they are derived from — are identical at any job count and
-   across kill/resume (the journal is checkpoint-restored).
+   ladder failed) and [Captured], each a pure function of (program,
+   input, budget, chaos seed).  [Breaker_open] skips are the breaker's
+   own artifacts and are excluded.  The derived tunings — like the
+   journal they are derived from — are therefore identical at any job
+   count and across kill/resume (the journal is checkpoint-restored).
 
    Two deterministic failures of one sid mean a third identical attempt
    cannot succeed either: its breaker threshold drops to 2 and its
@@ -155,7 +130,7 @@ let auto_tune t =
       | Run_crashed _ | Run_budget_exhausted | Captured _ ->
         Hashtbl.replace counts sid
           (1 + Option.value ~default:0 (Hashtbl.find_opt counts sid))
-      | Deadline_expired _ | Breaker_open _ | Worker_quarantined _ -> ())
+      | Breaker_open _ -> ())
     (List.rev t.root.sh_journal);
   Hashtbl.reset t.tunings;
   Hashtbl.iter
@@ -193,14 +168,6 @@ let note_captured_in sh ~sid ~msg =
 
 let note_captured t ~sid ~msg = note_captured_in t.root ~sid ~msg
 
-(* Recorded on the coordinator at merge time: the worker shard of a
-   quarantined task died with its executors, so nothing from the dead
-   attempts survives — the quarantine entry is the task's whole
-   accounting trace. *)
-let note_quarantined t ~sid ~kills =
-  t.root.sh_stats.quarantined <- t.root.sh_stats.quarantined + 1;
-  note t.root sid (Worker_quarantined kills)
-
 (* {2 Checkpoint support: export / restore the resumable state} *)
 
 type breaker_state = { bk_sid : int; bk_consecutive : int; bk_opened : bool }
@@ -218,11 +185,9 @@ let restore t ~stats:s ~failures:fs ~breakers =
   a.completed <- s.completed;
   a.aborted <- s.aborted;
   a.retried <- s.retried;
-  a.deadline_expired <- s.deadline_expired;
   a.breaker_trips <- s.breaker_trips;
   a.breaker_skips <- s.breaker_skips;
   a.captured <- s.captured;
-  a.quarantined <- s.quarantined;
   t.root.sh_journal <- List.rev fs;
   Hashtbl.reset t.breakers;
   List.iter
@@ -255,7 +220,6 @@ let execute_in t sh ~sid ~base_budget ~run =
     Skipped f
   end
   else begin
-    let t0 = Unix.gettimeofday () in
     let fail f =
       record_abort t sh sid;
       note sh sid f;
@@ -265,12 +229,6 @@ let execute_in t sh ~sid ~base_budget ~run =
       | [] -> assert false (* Backoff.budgets is never empty *)
       | budget :: rest -> (
         match run ~budget with
-        | exception exn when Exom_interp.Chaos.is_fatal exn ->
-          (* worker death: not ours to contain — the pool's supervisor
-             must see it (the dying shard's accounting is discarded
-             wholesale at merge time, so not counting here is what keeps
-             the books deterministic) *)
-          raise exn
         | exception exn ->
           stats.aborted <- stats.aborted + 1;
           stats.captured <- stats.captured + 1;
@@ -287,19 +245,9 @@ let execute_in t sh ~sid ~base_budget ~run =
             Degraded (r, fail (Run_crashed msg))
           | Error Interp.Budget_exhausted ->
             stats.aborted <- stats.aborted + 1;
-            let elapsed = Unix.gettimeofday () -. t0 in
-            let overdue =
-              match t.policy.deadline with
-              | Some d -> elapsed >= d
-              | None -> false
-            in
-            if rest <> [] && not overdue then begin
+            if rest <> [] then begin
               stats.retried <- stats.retried + 1;
               attempt rest
-            end
-            else if overdue then begin
-              stats.deadline_expired <- stats.deadline_expired + 1;
-              Degraded (r, fail (Deadline_expired elapsed))
             end
             else Degraded (r, fail Run_budget_exhausted)))
     in

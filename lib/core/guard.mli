@@ -8,8 +8,6 @@
       retried with a grown step budget (see {!Exom_util.Backoff}) before
       the abort is accepted — a tight timer must not masquerade as "the
       switch hangs the program";
-    - {b per-verification deadline}: escalation stops once the wall
-      clock spent on one verification exceeds the configured deadline;
     - {b circuit breaker}: after [breaker_threshold] {e consecutive}
       aborted switched runs of one static predicate in a session, that
       predicate is no longer re-verified — its verifications are skipped
@@ -27,13 +25,8 @@
 type verify_failure =
   | Run_crashed of string  (** final attempt crashed in the interpreter *)
   | Run_budget_exhausted  (** still out of budget after every escalation *)
-  | Deadline_expired of float
-      (** escalation abandoned after this many seconds *)
   | Breaker_open of int  (** skipped: the breaker for this sid is open *)
   | Captured of string  (** unexpected exception, converted not raised *)
-  | Worker_quarantined of int
-      (** the verification killed this many consecutive worker domains
-          and was isolated by the scheduler's supervisor *)
 
 val failure_to_string : verify_failure -> string
 
@@ -45,19 +38,16 @@ val failure_of_code : string -> verify_failure option
 
 type policy = {
   backoff : Exom_util.Backoff.t;  (** budget escalation ladder *)
-  deadline : float option;
-      (** wall-clock seconds one verification may spend before
-          escalation is abandoned; [None] = unlimited *)
   breaker_threshold : int;
       (** consecutive aborts of one static predicate that open its
           breaker; [max_int] disables the breaker *)
 }
 
-(** {!Exom_util.Backoff.default}, no deadline, breaker at 8. *)
+(** {!Exom_util.Backoff.default}, breaker at 8. *)
 val default_policy : policy
 
-(** A policy with no retries, no deadline and no breaker — the
-    pre-resilience behaviour, useful for differential tests. *)
+(** A policy with no retries and no breaker — the pre-resilience
+    behaviour, useful for differential tests. *)
 val strict_policy : policy
 
 (** Mutable per-session accounting.  Invariant maintained by
@@ -68,14 +58,9 @@ type stats = {
   mutable completed : int;  (** re-executions that ran to termination *)
   mutable aborted : int;  (** re-executions that crashed / ran out *)
   mutable retried : int;  (** escalation re-attempts (subset of runs) *)
-  mutable deadline_expired : int;  (** verifications cut by the deadline *)
   mutable breaker_trips : int;  (** breakers that opened *)
   mutable breaker_skips : int;  (** verifications skipped while open *)
   mutable captured : int;  (** exceptions contained (runs or analysis) *)
-  mutable quarantined : int;
-      (** verifications isolated after killing workers; their dead
-          attempts appear in no other counter (the dying shard's books
-          are discarded wholesale, identically at every job count) *)
 }
 
 (** An independent copy (reports snapshot it; the live record keeps
@@ -119,13 +104,14 @@ val breaker_open : t -> sid:int -> bool
 
     The policy's breaker threshold and escalation ladder are static
     session-wide defaults; [auto_tune] replaces them per predicate with
-    values derived from the failure journal.  Only failure kinds that
-    are deterministic in (program, input, budget, chaos) feed the rule
-    — [Run_crashed], [Run_budget_exhausted], [Captured] — never
-    wall-clock-dependent ones, so the derived table is identical at any
-    [-j] and across kill/resume (the journal is checkpoint-restored and
-    the table is recomputed from it).  Called by [Demand] between
-    batches when evidence-driven ranking is enabled. *)
+    values derived from the failure journal.  Only the failures of a
+    run — [Run_crashed], [Run_budget_exhausted], [Captured] — feed the
+    rule, never [Breaker_open] skips; every one is deterministic in
+    (program, input, budget, chaos), so the derived table is identical
+    at any [-j] and across kill/resume (the journal is
+    checkpoint-restored and the table is recomputed from it).  Called
+    by [Demand] between batches when evidence-driven ranking is
+    enabled. *)
 
 (** A per-sid override: breaker threshold and escalation retries. *)
 type tuning = { tn_breaker_threshold : int; tn_max_retries : int }
@@ -144,11 +130,6 @@ val note_captured : t -> sid:int -> msg:string -> unit
 
 (** Like {!note_captured}, into a worker shard. *)
 val note_captured_in : shard -> sid:int -> msg:string -> unit
-
-(** Record (on the coordinator, at merge time) that a verification was
-    quarantined by the scheduler after killing [kills] workers: bumps
-    [quarantined] and journals {!Worker_quarantined}. *)
-val note_quarantined : t -> sid:int -> kills:int -> unit
 
 (** {2 Crash-safe resume support}
 
@@ -179,12 +160,11 @@ type outcome =
   | Skipped of verify_failure  (** no run happened / nothing usable *)
 
 (** [execute t ~sid ~base_budget ~run] performs one verification
-    end-to-end under the policy: breaker check, budget ladder, deadline,
+    end-to-end under the policy: breaker check, budget ladder,
     exception containment, stats and breaker bookkeeping.  [run] is one
     re-execution attempt at a given budget; it is called between one and
-    [Backoff.attempts] times.  Fatal exceptions
-    ([Exom_interp.Chaos.is_fatal]) are re-raised, not contained: they
-    model worker-domain death and belong to the pool supervisor. *)
+    [Backoff.attempts] times.  Every exception [run] raises is contained
+    as {!Captured}. *)
 val execute :
   t ->
   sid:int ->

@@ -21,13 +21,13 @@ let compile ~name source =
   | e -> Error (Printf.sprintf "%s: %s" name (Printexc.to_string e))
 
 let root_sids_of_line prog = function
-  | None -> [ -1 ]
-  | Some line ->
+  | None -> Ok [ -1 ]
+  | Some line -> (
     let sids = ref [] in
     Ast.iter_program
       (fun s -> if Loc.line s.Ast.sloc = line then sids := s.Ast.sid :: !sids)
       prog;
-    !sids
+    match !sids with [] -> Error "no statement on that line" | sids -> Ok sids)
 
 type prepared = { session : Session.t; oracle : Oracle.t }
 
@@ -116,22 +116,15 @@ let report_text ~pool info (report : Demand.report) ~root_line =
     report.Demand.verifications report.Demand.verify_queries
     report.Demand.iterations report.Demand.expanded_edges
     report.Demand.user_prunings;
-  let sup = Pool.supervision pool in
-  Printf.bprintf b "scheduler: %d job(s)%s\n" (Pool.jobs pool)
-    (if sup.Pool.degraded then
-       ", DEGRADED: respawn budget exhausted, draining inline"
-     else if sup.Pool.respawns > 0 then
-       Printf.sprintf ", %d worker(s) respawned" sup.Pool.respawns
-     else "");
+  Printf.bprintf b "scheduler: %d job(s)\n" (Pool.jobs pool);
   Printf.bprintf b "%s\n" (store_line report.Demand.store);
   let g = report.Demand.robustness in
   Printf.bprintf b
     "robustness: %d re-executions (%d completed, %d aborted, %d retried), \
-     breaker trips %d (skips %d), deadline expirations %d, contained \
-     exceptions %d, quarantined %d\n"
+     breaker trips %d (skips %d), contained exceptions %d\n"
     report.Demand.verifications g.Guard.completed g.Guard.aborted
     g.Guard.retried g.Guard.breaker_trips g.Guard.breaker_skips
-    g.Guard.deadline_expired g.Guard.captured g.Guard.quarantined;
+    g.Guard.captured;
   Option.iter
     (Printf.bprintf b "DEGRADED result: %s\n")
     report.Demand.degraded;
@@ -171,7 +164,6 @@ let counts_of_report (report : Demand.report) =
     ("aborted", g.Guard.aborted);
     ("breaker_trips", g.Guard.breaker_trips);
     ("breaker_skips", g.Guard.breaker_skips);
-    ("quarantined", g.Guard.quarantined);
     ("store_hits", s.Store.hits);
     ("store_disk_hits", s.Store.disk_hits);
     ("store_misses", s.Store.misses);

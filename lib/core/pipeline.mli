@@ -19,8 +19,11 @@ val compile : name:string -> string -> (Exom_lang.Ast.program, string) result
 
 (** The statements on a ground-truth source line: the [root_sids] of
     {!locate}.  [None] (no ground truth) is the impossible sid [-1], so
-    the search runs to exhaustion. *)
-val root_sids_of_line : Exom_lang.Ast.program -> int option -> int list
+    the search runs to exhaustion.  A line that holds no statement (a
+    comment, a blank, past the end) is an [Error]: searching for it
+    would read as a localization miss. *)
+val root_sids_of_line :
+  Exom_lang.Ast.program -> int option -> (int list, string) result
 
 type prepared = { session : Session.t; oracle : Oracle.t }
 
@@ -56,8 +59,8 @@ type resume =
   | Cold  (** no plan given *)
   | Replayed of Recover.plan  (** the plan matched and was primed *)
   | Mismatched
-      (** the plan describes another program, input or budget: ignored,
-          the run started cold *)
+      (** the plan describes another program, input, budget or chaos
+          spec: ignored, the run started cold *)
 
 (** The replay plan of a journal left at [path], if there is a readable
     one.  Read it before {!locate} re-attaches a journal to the same

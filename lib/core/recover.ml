@@ -122,18 +122,21 @@ let plan_of_recovery (r : Ledger.recovery) =
 let plan_of_file path = Result.map plan_of_recovery (Ledger.recover_file path)
 
 (* Does the journal describe the same failing run this session just
-   reproduced?  Compared on the Session event's deterministic fields; a
-   journal with no Session event matches nothing (its provenance is
-   unknowable). *)
+   reproduced, under the same chaos spec?  Compared on the Session
+   event's deterministic fields; a journal with no Session event matches
+   nothing (its provenance is unknowable).  The chaos spec is part of
+   every verdict's store key, so a journal recorded under another spec
+   would seed its verdicts under this session's keys. *)
 let matches_session plan (s : Session.t) =
   match plan.session_ev with
   | Some
       (Ledger.Session
-         { wrong; vexp = _; correct_outputs; budget; trace_len }) ->
+         { wrong; vexp = _; correct_outputs; budget; trace_len; chaos }) ->
     wrong.Ledger.idx = s.Session.wrong_output
     && correct_outputs = List.length s.Session.correct_outputs
     && budget = s.Session.budget
     && trace_len = Exom_interp.Trace.length s.Session.trace
+    && chaos = Option.map Exom_interp.Chaos.to_string s.Session.chaos
   | _ -> false
 
 (* Arm the session's replay cursor.  Call before [Demand.locate]; the

@@ -40,8 +40,9 @@ val plan_of_file : string -> (plan, string) result
 
 (** Does the journal's Session event agree with this session's failing
     run (wrong-output instance, correct-output count, budget, trace
-    length)?  A plan that doesn't match must not be primed — the
-    journal belongs to a different program, input or configuration. *)
+    length) and chaos spec?  A plan that doesn't match must not be
+    primed — the journal belongs to a different program, input or
+    configuration. *)
 val matches_session : plan -> Session.t -> bool
 
 (** Arm the session's replay cursor with the plan's groups.  Call

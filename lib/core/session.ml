@@ -115,11 +115,7 @@ let derive_key_prefix ~prog ~input ~expected ~budget ~chaos =
       ints input;
       ints expected;
       string_of_int budget;
-      (match chaos with
-      | None -> ""
-      | Some c ->
-        Printf.sprintf "%d:%s" c.Exom_interp.Chaos.seed
-          (Exom_interp.Chaos.fault_to_string c.Exom_interp.Chaos.fault));
+      (match chaos with None -> "" | Some c -> Exom_interp.Chaos.to_string c);
     ]
 
 (* Resolve a trace instance into the self-contained reference the
@@ -162,6 +158,7 @@ let create ?obs ?(budget = Interp.default_budget) ?policy ?chaos ?store ?ledger
   (match ledger with
   | Some l ->
     Ledger.session l
+      ?chaos:(Option.map Exom_interp.Chaos.to_string chaos)
       ~wrong:(ledger_inst ~info ~trace wrong_output)
       ~vexp:(Option.map Value.to_string vexp)
       ~correct_outputs:(List.length correct_outputs)

@@ -49,7 +49,7 @@ type t = {
           verification possible) *)
   budget : int;
   guard : Guard.t;
-      (** the session's resilience state: retry/deadline policy, circuit
+      (** the session's resilience state: retry policy, circuit
           breakers, robustness accounting, failure journal *)
   chaos : Exom_interp.Chaos.t option;
       (** fault injection applied to switched re-executions only; the

@@ -206,8 +206,7 @@ let decode_result payload =
 
 type evidence = {
   ev_source : string;
-      (* "run" | "cache:mem" | "cache:disk" | "skip" | "dead"
-         | "quarantined" *)
+      (* "run" | "cache:mem" | "cache:disk" | "skip" | "dead" *)
   ev_run : Ledger.run_info option;
   ev_align : Ledger.align_info option;
   ev_failure : string option;
@@ -223,15 +222,6 @@ let cache_evidence tier =
 
 let dead_evidence =
   { ev_source = "dead"; ev_run = None; ev_align = None; ev_failure = None }
-
-let quarantined_evidence kills =
-  {
-    ev_source = "quarantined";
-    ev_run = None;
-    ev_align = None;
-    ev_failure =
-      Some (Guard.failure_to_string (Guard.Worker_quarantined kills));
-  }
 
 let run_evidence (run' : Interp.run) =
   let outcome =
@@ -263,11 +253,9 @@ let make_checkpoint (s : Session.t) =
         Ledger.g_completed = g.Guard.completed;
         g_aborted = g.Guard.aborted;
         g_retried = g.Guard.retried;
-        g_deadline_expired = g.Guard.deadline_expired;
         g_breaker_trips = g.Guard.breaker_trips;
         g_breaker_skips = g.Guard.breaker_skips;
         g_captured = g.Guard.captured;
-        g_quarantined = g.Guard.quarantined;
       };
     ck_failures =
       List.map
@@ -306,11 +294,9 @@ let apply_checkpoint (s : Session.t) (ck : Ledger.checkpoint) =
         Guard.completed = g.Ledger.g_completed;
         aborted = g.Ledger.g_aborted;
         retried = g.Ledger.g_retried;
-        deadline_expired = g.Ledger.g_deadline_expired;
         breaker_trips = g.Ledger.g_breaker_trips;
         breaker_skips = g.Ledger.g_breaker_skips;
         captured = g.Ledger.g_captured;
-        quarantined = g.Ledger.g_quarantined;
       }
     ~failures:
       (List.map
@@ -558,10 +544,7 @@ let verify_batch ?(mode = Edge_approximation) ?pool (s : Session.t) pairs =
             pgroups;
           (shard, wobs)
       in
-      let outcomes =
-        Batch.run_tasks ~obs ~fatal:Exom_interp.Chaos.is_fatal pool
-          (List.map task by_sid)
-      in
+      let outcomes = Pool.run ~obs pool (List.map task by_sid) in
       (* merge in submission order: reports are j-independent *)
       List.iter2
         (fun (sid, pgroups) outcome ->
@@ -570,29 +553,20 @@ let verify_batch ?(mode = Edge_approximation) ?pool (s : Session.t) pairs =
             Guard.absorb s.Session.guard shard;
             Obs.absorb ~into:obs wobs
           | Error exn ->
-            (* The task died: its shard and obs fork are discarded, so
-               nothing it half-computed is trusted — wipe any slots a
-               dead attempt wrote before being killed, or the batch's
+            (* The task raised past the guard: its shard and obs fork
+               are discarded, so nothing it half-computed is trusted —
+               wipe any slots it wrote before raising, or the batch's
                verdicts and accounting would come from runs that were
-               never charged anywhere.  Fault injection is
-               deterministic, so the wipe (like the kill) is identical
-               at every job count. *)
-            let ev =
-              match exn with
-              | Batch.Quarantined kills ->
-                Guard.note_quarantined s.Session.guard ~sid ~kills;
-                quarantined_evidence kills
-              | exn ->
-                Guard.note_captured s.Session.guard ~sid
-                  ~msg:(Printexc.to_string exn);
-                dead_evidence
-            in
+               never charged anywhere.  The raise is deterministic, so
+               the wipe is identical at every job count. *)
+            Guard.note_captured s.Session.guard ~sid
+              ~msg:(Printexc.to_string exn);
             List.iter
               (fun (_, items) ->
                 List.iter
                   (fun (i, _) ->
                     answers.(i) <- None;
-                    evs.(i) <- Some ev)
+                    evs.(i) <- Some dead_evidence)
                   items)
               pgroups)
         by_sid outcomes;

@@ -121,8 +121,7 @@ val reset : string -> unit
 
 (** Run one triple in-process against the campaign directory's shared
     store, journaling its ledger under [dir]/journals and resuming from
-    a prior journal when one matches.  [pool] is the caller's supervised
-    worker pool (one per shard, reused across triples).  [config]
+    a prior journal when one matches.  [pool] is the caller's worker pool (one per shard, reused across triples).  [config]
     overrides the locator's configuration (e.g. [ranking = None] for a
     static-order control leg). *)
 val run_triple :

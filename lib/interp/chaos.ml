@@ -3,12 +3,8 @@ type fault =
   | Truncate_budget of int
   | Corrupt_value of int
   | Raise_at of int
-  | Kill_worker of int
 
 exception Injected of string
-exception Killed_worker of string
-
-let is_fatal = function Killed_worker _ -> true | _ -> false
 
 type t = { seed : int; fault : fault }
 
@@ -25,13 +21,14 @@ let mix x =
 let of_seed ?(max_step = 4096) seed =
   if max_step < 1 then invalid_arg "Chaos.of_seed: max_step must be >= 1";
   let step = 1 + (mix (seed lxor 0x5bf03635) mod max_step) in
+  (* five buckets, two of them raising: the other kinds keep the seeds
+     (and steps) they have always drawn, so recorded seeds replay *)
   let fault =
     match mix seed mod 5 with
     | 0 -> Crash_at step
     | 1 -> Truncate_budget step
     | 2 -> Corrupt_value step
-    | 3 -> Raise_at step
-    | _ -> Kill_worker step
+    | _ -> Raise_at step
   in
   { seed; fault }
 
@@ -40,7 +37,8 @@ let fault_to_string = function
   | Truncate_budget n -> Printf.sprintf "budget truncated to %d steps" n
   | Corrupt_value n -> Printf.sprintf "value corrupted at step %d" n
   | Raise_at n -> Printf.sprintf "exception injected at step %d" n
-  | Kill_worker n -> Printf.sprintf "worker killed at step %d" n
+
+let to_string t = Printf.sprintf "%d:%s" t.seed (fault_to_string t.fault)
 
 let pp ppf t =
   Format.fprintf ppf "chaos(seed=%d: %s)" t.seed (fault_to_string t.fault)
@@ -58,10 +56,6 @@ let action t ~step =
     raise
       (Injected
          (Printf.sprintf "chaos: injected exception (seed %d, step %d)" seed n))
-  | Some { seed; fault = Kill_worker n } when step = n ->
-    raise
-      (Killed_worker
-         (Printf.sprintf "chaos: worker killed (seed %d, step %d)" seed n))
   | _ -> `Continue
 
 let corrupt t ~step v =

@@ -27,32 +27,24 @@ type fault =
       (** raise {!Injected} at step N — an exception the interpreter
           does {e not} convert to an outcome, modelling the failure mode
           the resilience layer must contain *)
-  | Kill_worker of int
-      (** raise {!Killed_worker} at step N — a {e fatal} exception that
-          the resilience layer must {e not} contain: it models the death
-          of the worker domain executing the re-execution (OOM, stack
-          overflow), and is re-raised through every containment layer so
-          the scheduler's supervisor sees the worker die *)
 
 (** The one exception {!Interp.run} lets escape, by design. *)
 exception Injected of string
 
-(** The fatal exception modelling worker-domain death.  Unlike
-    {!Injected}, the guard re-raises it: only the pool supervisor may
-    absorb it (by requeueing the orphaned task, respawning the domain
-    and eventually quarantining the killer). *)
-exception Killed_worker of string
-
-(** Is this exception one the containment layers must re-raise? *)
-val is_fatal : exn -> bool
-
 type t = { seed : int; fault : fault }
 
 (** [of_seed seed] derives a fault kind and a firing step (in
-    [\[1, max_step\]], default 4096) deterministically from [seed]. *)
+    [\[1, max_step\]], default 4096) deterministically from [seed].
+    [Raise_at] is drawn twice as often as each other kind. *)
 val of_seed : ?max_step:int -> int -> t
 
 val fault_to_string : fault -> string
+
+(** ["seed:fault"], e.g. ["0:exception injected at step 1"]: the text
+    that identifies a spec in verdict-store keys and in a ledger's
+    Session event. *)
+val to_string : t -> string
+
 val pp : Format.formatter -> t -> unit
 
 (** {2 Interpreter hooks} — all are no-ops on [None]. *)

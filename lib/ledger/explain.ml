@@ -32,7 +32,7 @@ type final_view = {
 let session_of evs =
   find_map
     (function
-      | Ledger.Session { wrong; vexp; correct_outputs; budget; trace_len } ->
+      | Ledger.Session { wrong; vexp; correct_outputs; budget; trace_len; _ } ->
         Some { wrong; vexp; correct_outputs; budget; trace_len }
       | _ -> None)
     evs
@@ -369,24 +369,19 @@ let render ?lineage ?(replay = []) evs =
          || ck.Ledger.ck_guard.Ledger.g_aborted > 0
          || ck.Ledger.ck_guard.Ledger.g_retried > 0
          || ck.Ledger.ck_guard.Ledger.g_captured > 0
-         || ck.Ledger.ck_guard.Ledger.g_quarantined > 0
          || ck.Ledger.ck_store.Ledger.st_corrupted > 0 ->
     let g = ck.Ledger.ck_guard in
     pr "\n--- Robustness ---\n";
     pr
-      "guard: %d completed, %d aborted, %d retried, %d deadline \
-       expiration%s, %d breaker trip%s (%d skip%s), %d contained \
-       exception%s, %d quarantined\n"
+      "guard: %d completed, %d aborted, %d retried, %d breaker trip%s \
+       (%d skip%s), %d contained exception%s\n"
       g.Ledger.g_completed g.Ledger.g_aborted g.Ledger.g_retried
-      g.Ledger.g_deadline_expired
-      (if g.Ledger.g_deadline_expired = 1 then "" else "s")
       g.Ledger.g_breaker_trips
       (if g.Ledger.g_breaker_trips = 1 then "" else "s")
       g.Ledger.g_breaker_skips
       (if g.Ledger.g_breaker_skips = 1 then "" else "s")
       g.Ledger.g_captured
-      (if g.Ledger.g_captured = 1 then "" else "s")
-      g.Ledger.g_quarantined;
+      (if g.Ledger.g_captured = 1 then "" else "s");
     if ck.Ledger.ck_failures <> [] then begin
       pr "failure journal (%d entr%s, oldest first):\n"
         (List.length ck.Ledger.ck_failures)

@@ -66,11 +66,9 @@ type guard_counts = {
   g_completed : int;
   g_aborted : int;
   g_retried : int;
-  g_deadline_expired : int;
   g_breaker_trips : int;
   g_breaker_skips : int;
   g_captured : int;
-  g_quarantined : int;
 }
 
 type breaker_info = { b_sid : int; b_consecutive : int; b_opened : bool }
@@ -109,6 +107,7 @@ type event =
       correct_outputs : int;
       budget : int;
       trace_len : int;
+      chaos : string option;
     }
   | Locate of { root_sids : int list; mode : string; max_iterations : int }
   | Slice of {
@@ -180,8 +179,8 @@ let push t e =
 
 (* {2 Appending} *)
 
-let session t ~wrong ~vexp ~correct_outputs ~budget ~trace_len =
-  push t (Session { wrong; vexp; correct_outputs; budget; trace_len })
+let session ?chaos t ~wrong ~vexp ~correct_outputs ~budget ~trace_len =
+  push t (Session { wrong; vexp; correct_outputs; budget; trace_len; chaos })
 
 let locate t ~root_sids ~mode ~max_iterations =
   push t (Locate { root_sids; mode; max_iterations })
@@ -274,16 +273,18 @@ let entry_json e =
     ]
 
 let event_json = function
-  | Session { wrong; vexp; correct_outputs; budget; trace_len } ->
+  | Session { wrong; vexp; correct_outputs; budget; trace_len; chaos } ->
     Json.Obj
-      [
-        ("ev", Json.Str "session");
-        ("wrong", inst_json wrong);
-        ("vexp", opt_str vexp);
-        ("correct_outputs", num correct_outputs);
-        ("budget", num budget);
-        ("trace_len", num trace_len);
-      ]
+      ([
+         ("ev", Json.Str "session");
+         ("wrong", inst_json wrong);
+         ("vexp", opt_str vexp);
+         ("correct_outputs", num correct_outputs);
+         ("budget", num budget);
+         ("trace_len", num trace_len);
+       ]
+      (* only when set: a clean run's ledger keeps its bytes *)
+      @ match chaos with None -> [] | Some c -> [ ("chaos", Json.Str c) ])
   | Locate { root_sids; mode; max_iterations } ->
     Json.Obj
       [
@@ -368,12 +369,13 @@ let event_json = function
     Json.Obj
       [
         ("ev", Json.Str "checkpoint");
-        (* fixed-position arrays keep checkpoint lines compact *)
+        (* fixed-position arrays keep checkpoint lines compact; guard
+           slots 4 and 8 held counters that no longer exist and stay 0,
+           so ledgers keep their bytes *)
         ( "guard",
           ints
-            [ g.g_completed; g.g_aborted; g.g_retried; g.g_deadline_expired;
-              g.g_breaker_trips; g.g_breaker_skips; g.g_captured;
-              g.g_quarantined ] );
+            [ g.g_completed; g.g_aborted; g.g_retried; 0; g.g_breaker_trips;
+              g.g_breaker_skips; g.g_captured; 0 ] );
         ( "failures",
           Json.Arr
             (List.map
@@ -618,7 +620,7 @@ let parse_event j =
     Ok
       (Session
          { wrong; vexp = get_opt_str j "vexp"; correct_outputs; budget;
-           trace_len })
+           trace_len; chaos = get_opt_str j "chaos" })
   | "locate" ->
     let* root_sids = require "root_sids" (get_ints j "root_sids") in
     let* mode = require "mode" (get_str j "mode") in
@@ -691,11 +693,10 @@ let parse_event j =
   | "checkpoint" ->
     let* g =
       match get_ints j "guard" with
-      | Some [ c; a; r; d; bt; bs; cap; q ] ->
+      | Some [ c; a; r; _; bt; bs; cap; _ ] ->
         Ok
           { g_completed = c; g_aborted = a; g_retried = r;
-            g_deadline_expired = d; g_breaker_trips = bt;
-            g_breaker_skips = bs; g_captured = cap; g_quarantined = q }
+            g_breaker_trips = bt; g_breaker_skips = bs; g_captured = cap }
       | _ -> Error "checkpoint.guard: expected 8 counters"
     in
     let* failures =

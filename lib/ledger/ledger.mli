@@ -75,17 +75,17 @@ type slice_entry = {
     counters.  Everything here is deterministic (merged in submission
     order upstream), so checkpoints preserve the -j byte-identity
     contract; the cumulative form means the {e last} replayed checkpoint
-    alone restores a resumed session. *)
+    alone restores a resumed session.  The guard counters serialize as
+    an eight-slot array whose slots 4 and 8 are written as 0 and
+    ignored on read. *)
 
 type guard_counts = {
   g_completed : int;
   g_aborted : int;
   g_retried : int;
-  g_deadline_expired : int;
   g_breaker_trips : int;
   g_breaker_skips : int;
   g_captured : int;
-  g_quarantined : int;
 }
 
 type breaker_info = { b_sid : int; b_consecutive : int; b_opened : bool }
@@ -126,6 +126,10 @@ type event =
       correct_outputs : int;
       budget : int;
       trace_len : int;
+      chaos : string option;
+          (** the fault injected into switched runs, as
+              {!Exom_interp.Chaos.to_string} renders it; the field is
+              absent from a run without one *)
     }
   | Locate of { root_sids : int list; mode : string; max_iterations : int }
   | Slice of {
@@ -178,6 +182,7 @@ val events : t -> event list
 (** {2 Appending (coordinator only)} *)
 
 val session :
+  ?chaos:string ->
   t ->
   wrong:inst ->
   vexp:string option ->

@@ -1,75 +1,12 @@
-(* The batch verification planner's generic half: order-preserving
-   parallel execution and stable grouping.
+(* The batch verification planner's generic half: stable grouping.
 
-   Determinism contract: [run_tasks] returns results in submission
-   order no matter how the pool interleaves execution, and [group_by]
-   keeps both group order (first occurrence) and within-group order
-   stable.  A planner that (1) groups work that must be serialized —
-   e.g. all switched runs of one static predicate, whose circuit
-   breaker is a sequential state machine — into one task, and
-   (2) merges per-task accounting in submission order, produces output
-   bit-identical to the sequential engine at any job count.
-
-   Fatal exceptions ([fatal exn = true]) are the supervised-pool
-   protocol: the wrapper does NOT capture them into the result slot but
-   lets them kill the executing worker, so the pool's supervisor
-   requeues the task and respawns the domain.  The per-slot kill
-   counter lives here (in a coordinator-visible array, bumped before
-   the re-raise), and once a slot has killed [quarantine_after]
-   consecutive executors the wrapper gives up without raising and
-   records [Error (Quarantined kills)] — the task completes, the pool
-   survives, and the caller decides what a quarantined verification
-   means.  Chaos faults are deterministic, so the kill count — and
-   therefore the quarantine verdict — is identical at every job count
-   (the pool retries inline at -j1 with the same discipline). *)
-
-exception Cancelled
-
-(* The task killed [quarantine_after] consecutive executors and was
-   isolated; the payload is the kill count. *)
-exception Quarantined of int
-
-let default_quarantine_after = 3
-
-let run_tasks ?obs ?(cancel = fun () -> false) ?(fatal = fun _ -> false)
-    ?(quarantine_after = default_quarantine_after) pool tasks =
-  if quarantine_after < 1 then
-    invalid_arg "Batch.run_tasks: quarantine_after must be >= 1";
-  if quarantine_after > Pool.max_task_raises then
-    invalid_arg "Batch.run_tasks: quarantine_after exceeds the pool's bound";
-  let tasks = Array.of_list tasks in
-  let results = Array.make (Array.length tasks) (Error Cancelled) in
-  let kills = Array.make (Array.length tasks) 0 in
-  let wrapped =
-    Array.to_list
-      (Array.mapi
-         (fun i task () ->
-           if not (cancel ()) then
-             match task () with
-             | v -> results.(i) <- Ok v
-             | exception exn when fatal exn ->
-               (* bumped before the re-raise: the pool requeues this
-                  closure via a mutex, so the count is visible to the
-                  next executor *)
-               kills.(i) <- kills.(i) + 1;
-               if kills.(i) >= quarantine_after then
-                 results.(i) <- Error (Quarantined kills.(i))
-               else raise exn
-             | exception exn -> results.(i) <- Error exn)
-         tasks)
-  in
-  Pool.run ?obs pool wrapped;
-  (match obs with
-  | None -> ()
-  | Some obs ->
-    let quarantined =
-      Array.fold_left
-        (fun n r -> match r with Error (Quarantined _) -> n + 1 | _ -> n)
-        0 results
-    in
-    if quarantined > 0 then
-      Exom_obs.Obs.add obs "pool.quarantined" quarantined);
-  Array.to_list results
+   Determinism contract: [group_by] keeps both group order (first
+   occurrence) and within-group order stable.  A planner that (1) groups
+   work that must be serialized — e.g. all switched runs of one static
+   predicate, whose circuit breaker is a sequential state machine —
+   into one {!Pool.run} task, and (2) merges per-task accounting in
+   submission order, produces output bit-identical to the sequential
+   engine at any job count. *)
 
 let group_by ~key items =
   let tbl = Hashtbl.create 16 in

@@ -1,53 +1,9 @@
-(** Generic batch planning over a {!Pool}: order-preserving parallel
-    execution and stable grouping.
+(** Stable grouping for the batch verification planner.
 
-    These two primitives carry the scheduler's determinism argument:
-    results and groups always come back in submission order, so a
-    caller that serializes order-sensitive work (e.g. all switched runs
-    of one static predicate, whose circuit breaker is a sequential
-    state machine) into a single task and merges per-task accounting in
-    list order gets output independent of the job count. *)
+    Groups come back ordered by first occurrence of their key, items
+    within a group in input order.  With {!Pool.run}'s submission-order
+    results, this keeps a planner that groups order-sensitive work into
+    one task per key bit-identical to the sequential engine at any job
+    count. *)
 
-(** The result of a task that was never run because [cancel] returned
-    true before it started. *)
-exception Cancelled
-
-(** The result of a task that killed [quarantine_after] consecutive
-    executors (see {!run_tasks}); the payload is the kill count. *)
-exception Quarantined of int
-
-(** Default [quarantine_after]: 3 (one below {!Pool.max_task_raises},
-    so a quarantine always lands before the pool's drop backstop). *)
-val default_quarantine_after : int
-
-(** [run_tasks pool tasks] executes every task on the pool and returns
-    their outcomes {e in submission order}.  A task that raises yields
-    [Error exn] in its slot; the remaining tasks still run.  [cancel]
-    is polled before each task starts — once it returns true, tasks
-    not yet started yield [Error Cancelled].
-
-    [fatal] classifies exceptions that model worker-domain death (e.g.
-    [Exom_interp.Chaos.Killed_worker]): they are re-raised so the pool's
-    supervisor sees the worker die, requeues the task and respawns the
-    domain — until the task has killed [quarantine_after] consecutive
-    executors, at which point it completes as
-    [Error (Quarantined kills)] instead of raising.  The kill counter is
-    per result slot and deterministic across job counts (the pool
-    retries inline at -j1 under the same discipline).  With [obs], the
-    number of quarantined slots is recorded as the [pool.quarantined]
-    counter (deterministic; [Pool.run] itself records the [pool.kills]
-    raise count).
-
-    [obs] is passed through to {!Pool.run}. *)
-val run_tasks :
-  ?obs:Exom_obs.Obs.t ->
-  ?cancel:(unit -> bool) ->
-  ?fatal:(exn -> bool) ->
-  ?quarantine_after:int ->
-  Pool.t ->
-  (unit -> 'a) list ->
-  ('a, exn) result list
-
-(** Stable grouping: groups ordered by first occurrence of their key,
-    items within a group in input order. *)
 val group_by : key:('a -> 'k) -> 'a list -> ('k * 'a list) list

@@ -1,5 +1,4 @@
-(* A fixed-size OCaml 5 domain pool with one shared work queue and a
-   supervisor.
+(* A fixed-size OCaml 5 domain pool with one shared work queue.
 
    Sizing: [jobs] is the total degree of parallelism.  The coordinator
    participates in draining the queue during {!run}, so [jobs - 1]
@@ -8,60 +7,23 @@
    — the property the determinism tests lean on (`-j 1` is *exactly*
    the sequential engine, not a one-worker simulation of it).
 
-   Supervision: tasks are expected not to raise — the layer above (see
-   {!Batch}) wraps every task so ordinary exceptions are captured into
-   its result slot.  An exception that escapes a task anyway is treated
-   as the death of the worker executing it: the worker records the
-   orphaned task and exits its domain, and the coordinator (supervising
-   from {!drive}) requeues the orphan and respawns a replacement domain
-   while the respawn budget lasts.  A task that keeps killing workers is
-   dropped after [max_task_raises] attempts; {!Batch} quarantines such a
-   task one raise earlier, so for batch-planned work the drop is a
-   backstop, never the outcome.  When the respawn budget runs out the
-   pool degrades gracefully: surviving workers (and always the
-   coordinator) keep draining the queue, down to plain [-j1] execution.
-
-   The kill/retry discipline is identical on the inline paths (jobs=1,
-   singleton batches), so a task's fate — and every deterministic
-   counter derived from it — is independent of the job count. *)
-
-(* A task wrapped at submission, so the supervisor can count how often
-   it has killed its executor. *)
-type job = { body : unit -> unit; mutable raises : int }
-
-(* After this many raises a task is dropped (its effect on the batch is
-   decided earlier, by Batch's quarantine). *)
-let max_task_raises = 3
-
-type supervision = {
-  mutable kills : int;  (* tasks that took their executor down *)
-  mutable respawns : int;  (* replacement domains spawned *)
-  mutable dropped : int;  (* tasks abandoned after max_task_raises *)
-  mutable degraded : bool;  (* respawn budget ran out at least once *)
-}
-
-let snapshot_supervision s =
-  { kills = s.kills; respawns = s.respawns; dropped = s.dropped;
-    degraded = s.degraded }
+   Containment: [run] wraps every task so that its value or exception
+   lands in the task's own result slot.  A queued job therefore never
+   raises, no worker domain ever dies, and the results come back in
+   submission order however the domains interleaved. *)
 
 type t = {
   jobs : int;
-  respawn_budget : int;
   mutex : Mutex.t;
   work_cond : Condition.t;  (* queue became non-empty, or shutdown *)
-  done_cond : Condition.t;  (* pending reached zero, or a worker died *)
-  queue : job Queue.t;
-  mutable orphans : job list;  (* tasks whose executor died; LIFO *)
+  done_cond : Condition.t;  (* pending reached zero *)
+  queue : (unit -> unit) Queue.t;
   mutable pending : int;  (* tasks queued or running *)
-  mutable alive : int;  (* worker domains still in their loop *)
-  mutable respawns_left : int;
   mutable stopped : bool;
   mutable domains : unit Domain.t list;
-  sup : supervision;
 }
 
 let jobs t = t.jobs
-let supervision t = snapshot_supervision t.sup
 
 let default_jobs () =
   match Sys.getenv_opt "EXOM_JOBS" with
@@ -81,133 +43,52 @@ let rec worker_loop t =
   if t.stopped then Mutex.unlock t.mutex
   else
     match Queue.take_opt t.queue with
-    | Some job -> (
+    | Some job ->
       Mutex.unlock t.mutex;
-      match job.body () with
-      | () ->
-        Mutex.lock t.mutex;
-        finish_task t;
-        worker_loop t
-      | exception _ ->
-        (* this worker is dead: hand the orphan to the supervisor and
-           exit the domain (the raise count is bumped by the supervisor,
-           under the mutex, so inline and pooled paths count alike) *)
-        Mutex.lock t.mutex;
-        t.orphans <- job :: t.orphans;
-        t.alive <- t.alive - 1;
-        Condition.broadcast t.done_cond;
-        Mutex.unlock t.mutex)
+      job ();
+      Mutex.lock t.mutex;
+      finish_task t;
+      worker_loop t
     | None ->
       Condition.wait t.work_cond t.mutex;
       worker_loop t
 
-let spawn_worker t =
-  (* called with the mutex held; the new domain blocks on it until the
-     caller releases *)
-  t.alive <- t.alive + 1;
-  t.domains <-
-    Domain.spawn (fun () ->
-        Mutex.lock t.mutex;
-        worker_loop t)
-    :: t.domains
-
-let create ?(jobs = 1) ?respawn_budget () =
+let create ?(jobs = 1) () =
   let jobs =
     if jobs = 0 then Domain.recommended_domain_count ()
     else if jobs < 0 then invalid_arg "Pool.create: jobs must be >= 0"
     else jobs
   in
-  let respawn_budget =
-    match respawn_budget with
-    | Some b when b < 0 -> invalid_arg "Pool.create: respawn_budget < 0"
-    | Some b -> b
-    | None -> 4 * jobs
-  in
   let t =
     {
       jobs;
-      respawn_budget;
       mutex = Mutex.create ();
       work_cond = Condition.create ();
       done_cond = Condition.create ();
       queue = Queue.create ();
-      orphans = [];
       pending = 0;
-      alive = 0;
-      respawns_left = respawn_budget;
       stopped = false;
       domains = [];
-      sup = { kills = 0; respawns = 0; dropped = 0; degraded = false };
     }
   in
-  Mutex.lock t.mutex;
-  for _ = 1 to max 0 (jobs - 1) do
-    spawn_worker t
-  done;
-  Mutex.unlock t.mutex;
+  t.domains <-
+    List.init (max 0 (jobs - 1)) (fun _ ->
+        Domain.spawn (fun () ->
+            Mutex.lock t.mutex;
+            worker_loop t));
   t
 
-(* One task's raise, observed either by the supervisor (worker death)
-   or by the inline containment below.  Returns [`Retry] while the task
-   deserves another executor. *)
-let record_raise t job =
-  t.sup.kills <- t.sup.kills + 1;
-  job.raises <- job.raises + 1;
-  if job.raises >= max_task_raises then begin
-    t.sup.dropped <- t.sup.dropped + 1;
-    `Drop
-  end
-  else `Retry
-
-(* The supervisor: adopt orphaned tasks left by dead workers.  Requeues
-   survivable orphans (so surviving workers — or the coordinator, right
-   here in [drive] — pick them up) and respawns replacement domains
-   while the budget lasts.  Called with the mutex held. *)
-let supervise t =
-  let rec adopt = function
-    | [] -> ()
-    | job :: rest ->
-      (match record_raise t job with
-      | `Retry -> Queue.add job t.queue
-      | `Drop -> finish_task t);
-      adopt rest
-  in
-  let orphans = t.orphans in
-  t.orphans <- [];
-  if orphans <> [] then begin
-    adopt orphans;
-    (* replace dead domains up to the budget; past it, degrade *)
-    let want = max 0 (t.jobs - 1) in
-    while t.alive < want && t.respawns_left > 0 && not t.stopped do
-      t.respawns_left <- t.respawns_left - 1;
-      t.sup.respawns <- t.sup.respawns + 1;
-      spawn_worker t
-    done;
-    if t.alive < want then t.sup.degraded <- true;
-    if not (Queue.is_empty t.queue) then Condition.broadcast t.work_cond
-  end
-
-(* The coordinator's share of the drain: supervise orphans, run queued
-   tasks, then wait for in-flight tasks on other domains.  The
-   coordinator contains a task's raise directly (it cannot die), feeding
-   the same [record_raise] discipline as the supervisor. *)
+(* The coordinator's share of the drain: run queued jobs, then wait for
+   the ones in flight on other domains. *)
 let rec drive t =
   (* called with the mutex held *)
-  supervise t;
   match Queue.take_opt t.queue with
-  | Some job -> (
+  | Some job ->
     Mutex.unlock t.mutex;
-    match job.body () with
-    | () ->
-      Mutex.lock t.mutex;
-      finish_task t;
-      drive t
-    | exception _ ->
-      Mutex.lock t.mutex;
-      (match record_raise t job with
-      | `Retry -> Queue.add job t.queue
-      | `Drop -> finish_task t);
-      drive t)
+    job ();
+    Mutex.lock t.mutex;
+    finish_task t;
+    drive t
   | None ->
     if t.pending > 0 then begin
       Condition.wait t.done_cond t.mutex;
@@ -215,56 +96,41 @@ let rec drive t =
     end
     else Mutex.unlock t.mutex
 
-(* Inline execution of one task with the same raise discipline: retry
-   in place until it completes or is dropped. *)
-let rec run_inline t job =
-  match job.body () with
-  | () -> ()
-  | exception _ -> (
-    Mutex.lock t.mutex;
-    let verdict = record_raise t job in
-    Mutex.unlock t.mutex;
-    match verdict with `Retry -> run_inline t job | `Drop -> ())
-
-(* The obs record is identical across all three execution paths below
-   (inline, sequential, pooled), so the metric tree stays independent of
-   the job count.  Kills are counted per raise on every path, so the
-   delta recorded after the drain is deterministic too. *)
-let record_submission obs tasks =
+(* The obs record is identical on the inline and the pooled path, so
+   the metric tree stays independent of the job count. *)
+let record_submission obs n =
   match obs with
   | None -> ()
   | Some obs ->
-    let n = List.length tasks in
     Exom_obs.Obs.add obs "pool.tasks" n;
     Exom_obs.Obs.gauge obs "pool.queue_depth" n
 
-let record_kills obs ~before t =
-  match obs with
-  | None -> ()
-  | Some obs ->
-    let d = t.sup.kills - before in
-    if d > 0 then Exom_obs.Obs.add obs "pool.kills" d
-
 let run ?obs t tasks =
   if t.stopped then invalid_arg "Pool.run: pool is shut down";
-  record_submission obs tasks;
-  let kills_before = t.sup.kills in
-  let jobs_of tasks = List.map (fun body -> { body; raises = 0 }) tasks in
-  (match tasks with
-  | [] -> ()
-  | [ task ] -> run_inline t { body = task; raises = 0 }
-  | _ when t.jobs <= 1 -> List.iter (run_inline t) (jobs_of tasks)
-  | _ ->
+  let tasks = Array.of_list tasks in
+  let n = Array.length tasks in
+  record_submission obs n;
+  (* each job writes only its own slot; the mutex hand-off in [drive]
+     publishes the writes to the coordinator *)
+  let results = Array.make n None in
+  let jobs =
+    List.init n (fun i () ->
+        results.(i) <-
+          Some (match tasks.(i) () with v -> Ok v | exception exn -> Error exn))
+  in
+  if t.jobs <= 1 || n <= 1 then List.iter (fun job -> job ()) jobs
+  else begin
     Mutex.lock t.mutex;
     if t.stopped then begin
       Mutex.unlock t.mutex;
       invalid_arg "Pool.run: pool is shut down"
     end;
-    List.iter (fun job -> Queue.add job t.queue) (jobs_of tasks);
-    t.pending <- t.pending + List.length tasks;
+    List.iter (fun job -> Queue.add job t.queue) jobs;
+    t.pending <- t.pending + n;
     Condition.broadcast t.work_cond;
-    drive t);
-  record_kills obs ~before:kills_before t
+    drive t
+  end;
+  Array.to_list (Array.map Option.get results)
 
 let shutdown t =
   Mutex.lock t.mutex;

@@ -1,5 +1,4 @@
-(** A fixed-size OCaml 5 domain pool with a shared work queue and a
-    supervisor.
+(** A fixed-size OCaml 5 domain pool with a shared work queue.
 
     [jobs] is the total degree of parallelism: the coordinator thread
     participates in draining the queue during {!run}, so a pool of
@@ -8,56 +7,33 @@
     simulation of it — which is the anchor for the scheduler's
     determinism guarantee.
 
-    Tasks are expected not to raise (see {!Batch}, which captures
-    ordinary exceptions into result slots).  An exception that escapes
-    a task anyway — by design only the {e fatal} kind that models
-    worker-domain death, e.g. [Exom_interp.Chaos.Killed_worker] — kills
-    the executing domain.  The supervisor (the coordinator, inside
-    {!run}) then adopts the orphaned task, requeues it on the surviving
-    workers, and respawns replacement domains while the [respawn_budget]
-    lasts; past the budget the pool degrades gracefully toward [-j1]
-    (the coordinator always keeps draining).  A task that has raised
-    [max_task_raises] times is dropped — {!Batch} quarantines such a
-    task one raise earlier, so for batch-planned work the drop is a
-    backstop, never the outcome.  The raise/retry discipline is
-    identical on the inline paths, so a task's fate is independent of
-    the job count. *)
+    {!run} captures each task's exception into that task's result slot,
+    so no task can end a worker domain: the pool keeps its size for its
+    whole lifetime. *)
 
 type t
 
-(** Raises a task may burn before the pool abandons it. *)
-val max_task_raises : int
-
 (** [create ~jobs ()] — [jobs = 0] means [Domain.recommended_domain_count ()];
-    defaults to 1 (inline execution, no domains).  [respawn_budget]
-    bounds how many replacement domains the pool may spawn over its
-    lifetime (default [4 * jobs]). *)
-val create : ?jobs:int -> ?respawn_budget:int -> unit -> t
+    defaults to 1 (inline execution, no domains). *)
+val create : ?jobs:int -> unit -> t
 
 val jobs : t -> int
 
-(** Supervisor counters (a snapshot).  [kills] counts task raises on
-    every execution path identically — it is deterministic across job
-    counts; [respawns], [dropped] and [degraded] describe this pool's
-    actual domain churn ([respawns] is 0 on inline paths, where there is
-    no domain to lose). *)
-type supervision = {
-  mutable kills : int;  (** tasks that took their executor down *)
-  mutable respawns : int;  (** replacement domains spawned *)
-  mutable dropped : int;  (** tasks abandoned after {!max_task_raises} *)
-  mutable degraded : bool;  (** respawn budget ran out at least once *)
-}
+(** Run every task to completion (blocking) and return their outcomes
+    {e in submission order}, whatever order they executed in.  A task
+    that raises yields [Error exn] in its slot; the remaining tasks
+    still run.  Not reentrant: do not call [run] from inside a task.
 
-val supervision : t -> supervision
+    A caller that serializes order-sensitive work into one task (e.g.
+    all switched runs of one static predicate, whose circuit breaker is
+    a sequential state machine) and merges per-task accounting in list
+    order gets output independent of the job count.
 
-(** Run every task to completion (blocking).  Tasks may execute on any
-    domain and in any order; completion of all of them is the only
-    guarantee.  Not reentrant: do not call [run] from inside a task.
     With [obs], records the submitted batch size ([pool.tasks] counter,
-    [pool.queue_depth] high-water gauge) and the deterministic kill
-    count of the drain ([pool.kills]) — identically on every execution
+    [pool.queue_depth] high-water gauge) identically on every execution
     path, so the metric tree is independent of [jobs]. *)
-val run : ?obs:Exom_obs.Obs.t -> t -> (unit -> unit) list -> unit
+val run :
+  ?obs:Exom_obs.Obs.t -> t -> (unit -> 'a) list -> ('a, exn) result list
 
 (** Stop the workers and join their domains.  Idempotent.  [run] after
     shutdown raises [Invalid_argument]. *)

@@ -621,39 +621,6 @@ let test_chaos_exception_contained () =
   Alcotest.(check int) "accounted" (Session.verifications session)
     (g.Guard.completed + g.Guard.aborted)
 
-let test_chaos_worker_kill_quarantined () =
-  (* a fatal Killed_worker escapes every containment layer by design;
-     the batch planner quarantines the task after it kills three
-     consecutive executors, and the verifier records the quarantine in
-     the Guard accounting instead of raising *)
-  let prog, session =
-    gzip_session_with
-      ~chaos:{ Chaos.seed = 0; fault = Chaos.Kill_worker 1 }
-      ()
-  in
-  let t = session.Session.trace in
-  let p = instance_of t ~sid:(sid_on_line prog l_if_flags) ~occ:1 in
-  let u = instance_of t ~sid:(sid_on_line prog l_store_flags) ~occ:1 in
-  Alcotest.(check string) "quarantine degrades to NOT_ID" "NOT_ID"
-    (Verdict.to_string (Verify.verify session ~p ~u));
-  let g = stats_of session in
-  Alcotest.(check int) "quarantined counted" 1 g.Guard.quarantined;
-  (* the dead attempts' runs are discarded wholesale, so the accounting
-     identity is unperturbed: nothing completed, nothing aborted,
-     nothing charged *)
-  Alcotest.(check int) "accounted" (Session.verifications session)
-    (g.Guard.completed + g.Guard.aborted);
-  (match Guard.failures session.Session.guard with
-  | [ (sid, Guard.Worker_quarantined kills) ] ->
-    Alcotest.(check int) "journaled against the predicate"
-      (sid_on_line prog l_if_flags) sid;
-    Alcotest.(check int) "after three kills" 3 kills
-  | fs -> Alcotest.failf "unexpected journal (%d entries)" (List.length fs));
-  (* the quarantined verdict is an artifact of this run's hostility —
-     it must never be persisted for a warm rerun to trust *)
-  Alcotest.(check int) "nothing persisted" 0
-    (Exom_sched.Store.mem_size session.Session.store)
-
 let test_breaker_opens_and_skips () =
   (* two consecutive aborts of the same static predicate open its
      breaker; the third verification is skipped without a re-execution *)
@@ -740,25 +707,6 @@ let test_no_escalation_misses () =
   Alcotest.(check int) "no retries" 0 g.Guard.retried;
   Alcotest.(check int) "one abort" 1 g.Guard.aborted
 
-let test_deadline_stops_escalation () =
-  (* a zero deadline is always overdue after the first attempt: the
-     ladder is abandoned even though retries remain *)
-  let policy =
-    { Guard.backoff = Backoff.make ~factor:2 ~max_retries:2 ~cap_factor:8;
-      deadline = Some 0.0;
-      breaker_threshold = max_int }
-  in
-  let _, session, p = escalation_session policy in
-  Alcotest.(check string) "deadline abort is NOT_ID" "NOT_ID"
-    (Verdict.to_string
-       (Verify.verify session ~p ~u:session.Session.wrong_output));
-  let g = stats_of session in
-  Alcotest.(check int) "no retries" 0 g.Guard.retried;
-  Alcotest.(check int) "deadline recorded" 1 g.Guard.deadline_expired;
-  match Guard.failures session.Session.guard with
-  | [ (_, Guard.Deadline_expired _) ] -> ()
-  | fs -> Alcotest.failf "unexpected journal (%d entries)" (List.length fs)
-
 let test_locate_under_chaos_never_raises () =
   (* a seed sweep over the full locate loop: whatever the injected fault
      does to the re-executions, locate returns a report whose robustness
@@ -797,7 +745,7 @@ let test_locate_under_chaos_never_raises () =
       (Printf.sprintf "seed %d: journal covers the failures" seed)
       true
       (List.length report.Demand.failures
-      >= g.Guard.breaker_skips + g.Guard.deadline_expired)
+      >= g.Guard.breaker_skips)
   done
 
 (* Systematic property: random programs with a synthesized execution
@@ -915,12 +863,10 @@ let () =
       ( "resilience",
         [ tc "injected crash degrades" test_chaos_crash_degrades;
           tc "injected exception contained" test_chaos_exception_contained;
-          tc "worker kill quarantined" test_chaos_worker_kill_quarantined;
           tc "circuit breaker opens and skips" test_breaker_opens_and_skips;
           tc "escalation rescues a tight budget"
             test_escalation_rescues_tight_budget;
           tc "no escalation misses it" test_no_escalation_misses;
-          tc "deadline stops escalation" test_deadline_stops_escalation;
           tc "locate never raises under chaos"
             test_locate_under_chaos_never_raises ] );
       ( "properties",

@@ -537,11 +537,10 @@ let test_chaos_of_seed_deterministic () =
         | Chaos.Crash_at _ -> 0
         | Chaos.Truncate_budget _ -> 1
         | Chaos.Corrupt_value _ -> 2
-        | Chaos.Raise_at _ -> 3
-        | Chaos.Kill_worker _ -> 4)
+        | Chaos.Raise_at _ -> 3)
     |> List.sort_uniq compare
   in
-  Alcotest.(check (list int)) "all kinds reachable" [ 0; 1; 2; 3; 4 ] kinds
+  Alcotest.(check (list int)) "all kinds reachable" [ 0; 1; 2; 3 ] kinds
 
 let test_chaos_crash_at () =
   let chaos = { Chaos.seed = 0; fault = Chaos.Crash_at 20 } in

@@ -18,6 +18,7 @@ module Obs = Exom_obs.Obs
 module Spine = Exom_obs.Spine
 module Json = Exom_obs.Json
 module Vfs = Exom_util.Vfs
+module Chaos = Exom_interp.Chaos
 
 let contains hay needle =
   let nh = String.length hay and nn = String.length needle in
@@ -70,12 +71,14 @@ let other_fixture = suite_fault "sedsim" "V3-F2"
    (the real --resume flow: match the journal against the session,
    prime, mark the new journal as a resumed continuation).  Returns the
    canonical ledger, the report and what became of the plan. *)
-let pipeline_run ?obs ?store ?plan ~jobs (bench, fault, faulty, correct) path =
+let pipeline_run ?obs ?store ?chaos ?plan ~jobs (bench, fault, faulty, correct)
+    path =
   let ledger = Ledger.create () in
   let prepared =
     match
-      Pipeline.prepare ?obs ?store ~ledger ~profile_inputs:bench.B.test_inputs
-        ~prog:faulty ~correct ~input:fault.B.failing_input ()
+      Pipeline.prepare ?obs ?store ?chaos ~ledger
+        ~profile_inputs:bench.B.test_inputs ~prog:faulty ~correct
+        ~input:fault.B.failing_input ()
     with
     | Ok p -> p
     | Error e -> Alcotest.fail (Pipeline.setup_error_message e)
@@ -469,7 +472,38 @@ let test_foreign_journal_rejected () =
   Alcotest.(check bool) "foreign plan comes back mismatched" true
     (resumed = Pipeline.Mismatched);
   Alcotest.(check string) "cold ledger byte-identical to a fresh run's" fresh
-    cold
+    cold;
+  (* a journal recorded under another chaos spec is foreign too: its
+     verdicts must not be seeded under this session's store keys *)
+  let fx = Lazy.force fixture in
+  let chaos = { Chaos.seed = 0; fault = Chaos.Raise_at 1 } in
+  let disk_store () = Store.create ~dir:(fresh_path ()) () in
+  let mismatched label ?chaos ~plan store =
+    let fresh, _, _ =
+      pipeline_run ?chaos ~store:(disk_store ()) ~jobs:1 fx (fresh_path ())
+    in
+    let cold, _, resumed =
+      pipeline_run ?chaos ~store ~plan ~jobs:1 fx (fresh_path ())
+    in
+    Alcotest.(check bool) (label ^ ": comes back mismatched") true
+      (resumed = Pipeline.Mismatched);
+    Alcotest.(check string) (label ^ ": ledger byte-identical to a fresh run's")
+      fresh cold
+  in
+  let chaos_journal = fresh_path () in
+  ignore (pipeline_run ~chaos ~jobs:1 fx chaos_journal);
+  let dir = fresh_path () in
+  mismatched "chaos journal, clean session"
+    ~plan:(plan_of "chaos run" chaos_journal) (Store.create ~dir ());
+  let located (r : Demand.report) = (r.Demand.found, Slice.sids r.Demand.ips) in
+  let _, cold, _ = pipeline_run ~jobs:1 fx (fresh_path ()) in
+  let _, warm, _ =
+    pipeline_run ~store:(Store.create ~dir ()) ~jobs:1 fx (fresh_path ())
+  in
+  Alcotest.(check bool) "the store then locates what a cold run locates" true
+    (located warm = located cold);
+  mismatched "clean journal, chaos session" ~chaos ~plan:(baseline_plan ())
+    (disk_store ())
 
 let test_absent_journal_cold () =
   let path = fresh_path () in
@@ -514,6 +548,27 @@ let test_replay_leaves_store_entries () =
   Alcotest.(check (list (pair string int))) "every entry's inode unchanged"
     before (inodes ())
 
+(* A ground-truth line resolves to the statements on it; a line that
+   holds none is refused, not searched for to exhaustion. *)
+let test_root_line_resolution () =
+  let prog =
+    match
+      Pipeline.compile ~name:"sensor.mc"
+        (read_file "../examples/programs/sensor.mc")
+    with
+    | Ok p -> p
+    | Error e -> Alcotest.fail e
+  in
+  let roots line = Pipeline.root_sids_of_line prog line in
+  Alcotest.(check bool) "no ground truth: the impossible sid" true
+    (roots None = Ok [ -1 ]);
+  Alcotest.(check bool) "line 10 holds a statement" true
+    (match roots (Some 10) with Ok (_ :: _) -> true | _ -> false);
+  Alcotest.(check bool) "line 2 (a comment) is an error" true
+    (Result.is_error (roots (Some 2)));
+  Alcotest.(check bool) "a line past the end is an error" true
+    (Result.is_error (roots (Some 9999)))
+
 let test_describe () =
   let plan = baseline_plan () in
   let out = Recover.describe plan in
@@ -556,5 +611,10 @@ let () =
           Alcotest.test_case "replay leaves store entries alone" `Quick
             test_replay_leaves_store_entries;
           Alcotest.test_case "salvage description" `Quick test_describe;
+        ] );
+      ( "pipeline",
+        [
+          Alcotest.test_case "root line names a statement" `Quick
+            test_root_line_resolution;
         ] );
     ]

@@ -13,6 +13,7 @@ module Slice = Exom_ddg.Slice
 module B = Exom_bench.Bench_types
 module Runner = Exom_bench.Runner
 module Suite = Exom_bench.Suite
+module Chaos = Exom_interp.Chaos
 
 let temp_dir =
   let n = ref 0 in
@@ -282,7 +283,7 @@ let test_pool_inline () =
   let p = Pool.create ~jobs:1 () in
   Alcotest.(check int) "one job" 1 (Pool.jobs p);
   let acc = ref [] in
-  Pool.run p (List.map (fun i () -> acc := i :: !acc) [ 1; 2; 3 ]);
+  ignore (Pool.run p (List.map (fun i () -> acc := i :: !acc) [ 1; 2; 3 ]));
   (* jobs=1 runs inline, in order *)
   Alcotest.(check (list int)) "inline, in order" [ 3; 2; 1 ] !acc;
   Pool.shutdown p
@@ -291,16 +292,16 @@ let test_pool_parallel_completes () =
   let p = Pool.create ~jobs:4 () in
   let n = 100 in
   let hits = Array.make n false in
-  Pool.run p (List.init n (fun i () -> hits.(i) <- true));
+  ignore (Pool.run p (List.init n (fun i () -> hits.(i) <- true)));
   Alcotest.(check bool) "every task ran" true (Array.for_all Fun.id hits);
   (* reusable across run calls *)
   let count = Atomic.make 0 in
-  Pool.run p (List.init n (fun _ () -> Atomic.incr count));
+  ignore (Pool.run p (List.init n (fun _ () -> Atomic.incr count)));
   Alcotest.(check int) "second wave" n (Atomic.get count);
   Pool.shutdown p;
   Alcotest.check_raises "run after shutdown"
     (Invalid_argument "Pool.run: pool is shut down") (fun () ->
-      Pool.run p [ (fun () -> ()) ])
+      ignore (Pool.run p [ (fun () -> ()) ]))
 
 let test_batch_order_and_errors () =
   List.iter
@@ -310,7 +311,7 @@ let test_batch_order_and_errors () =
         List.init 20 (fun i () ->
             if i = 7 then failwith "boom" else i * 10)
       in
-      let results = Batch.run_tasks p tasks in
+      let results = Pool.run p tasks in
       List.iteri
         (fun i r ->
           match r with
@@ -322,24 +323,6 @@ let test_batch_order_and_errors () =
         results;
       Pool.shutdown p)
     [ 1; 4 ]
-
-let test_batch_cancel () =
-  let p = Pool.create ~jobs:1 () in
-  let ran = ref 0 in
-  let results =
-    Batch.run_tasks
-      ~cancel:(fun () -> !ran >= 2)
-      p
-      (List.init 5 (fun i () ->
-           incr ran;
-           i))
-  in
-  Alcotest.(check int) "stopped after two" 2 !ran;
-  Alcotest.(check int) "cancelled slots" 3
-    (List.length
-       (List.filter (function Error Batch.Cancelled -> true | _ -> false)
-          results));
-  Pool.shutdown p
 
 let test_group_by_stable () =
   let groups =
@@ -369,131 +352,6 @@ let test_verify_accounting () =
   Alcotest.(check int) "absorb keeps counters" 5
     (Metrics.counter_value into "verify.queries")
 
-(* {2 Supervision: worker death, quarantine, degraded pools} *)
-
-module Chaos = Exom_interp.Chaos
-
-let kill () = raise (Chaos.Killed_worker "test")
-
-(* A task that kills every executor it lands on is quarantined after
-   [default_quarantine_after] consecutive kills — identically at -j1
-   (inline retries) and -j4 (real domain deaths) — while every other
-   task still completes in its slot. *)
-let test_quarantine_j_invariant () =
-  let outcome jobs =
-    let p = Pool.create ~jobs () in
-    let tasks =
-      List.init 9 (fun i () -> if i = 4 then kill () else i * 10)
-    in
-    let results = Batch.run_tasks ~fatal:Chaos.is_fatal p tasks in
-    let sup = Pool.supervision p in
-    Pool.shutdown p;
-    (results, sup.Pool.kills, sup.Pool.dropped)
-  in
-  let check jobs =
-    let results, kills, dropped = outcome jobs in
-    List.iteri
-      (fun i r ->
-        match r with
-        | Ok v -> Alcotest.(check int) "healthy slot" (i * 10) v
-        | Error (Batch.Quarantined k) ->
-          Alcotest.(check int) "only the killer slot" 4 i;
-          Alcotest.(check int) "quarantined at the threshold"
-            Batch.default_quarantine_after k
-        | Error e -> raise e)
-      results;
-    (* the final raise is contained by the quarantine, so the pool sees
-       one executor kill fewer than the slot's raise count *)
-    Alcotest.(check int)
-      (Printf.sprintf "kill count deterministic at -j%d" jobs)
-      (Batch.default_quarantine_after - 1)
-      kills;
-    Alcotest.(check int) "quarantine preempts the pool's drop" 0 dropped;
-    (results, kills)
-  in
-  Alcotest.(check bool)
-    "-j1 and -j4 agree on every slot" true
-    (check 1 = check 4)
-
-(* A transient killer — takes one executor down, then succeeds on the
-   requeued attempt.  The supervisor adopts the orphan; the task ends
-   [Ok], not quarantined. *)
-let test_transient_kill_recovers () =
-  List.iter
-    (fun jobs ->
-      let p = Pool.create ~jobs () in
-      let first = Atomic.make true in
-      let tasks =
-        List.init 6 (fun i () ->
-            if i = 2 && Atomic.exchange first false then kill () else i)
-      in
-      let results = Batch.run_tasks ~fatal:Chaos.is_fatal p tasks in
-      List.iteri
-        (fun i r ->
-          match r with
-          | Ok v ->
-            Alcotest.(check int)
-              (Printf.sprintf "slot %d recovered (-j%d)" i jobs)
-              i v
-          | Error e -> raise e)
-        results;
-      Alcotest.(check int) "one kill recorded" 1 (Pool.supervision p).Pool.kills;
-      Pool.shutdown p)
-    [ 1; 4 ]
-
-(* With a zero respawn budget the pool cannot replace dead domains: it
-   degrades toward the coordinator draining alone — but still completes
-   every task and flags the degradation.  A rendezvous barrier forces
-   all four executors (coordinator + 3 workers) to hold a task at once;
-   the three on worker domains then die, so the degradation is not at
-   the mercy of which executor happened to pick the killer up. *)
-let test_degraded_pool_completes () =
-  let p = Pool.create ~jobs:4 ~respawn_budget:0 () in
-  let coord = Domain.self () in
-  let arrived = Atomic.make 0 in
-  let tasks =
-    List.init 4 (fun i () ->
-        Atomic.incr arrived;
-        while Atomic.get arrived < 4 do
-          Domain.cpu_relax ()
-        done;
-        (* requeued orphans land on the coordinator, which survives *)
-        if Domain.self () <> coord then kill ();
-        i)
-  in
-  let results = Batch.run_tasks ~fatal:Chaos.is_fatal p tasks in
-  let sup = Pool.supervision p in
-  List.iteri
-    (fun i r ->
-      match r with
-      | Ok v -> Alcotest.(check int) "completed despite the kills" i v
-      | Error e -> raise e)
-    results;
-  Alcotest.(check int) "three workers died" 3 sup.Pool.kills;
-  Alcotest.(check int) "no respawns without budget" 0 sup.Pool.respawns;
-  Alcotest.(check bool) "degradation flagged" true sup.Pool.degraded;
-  Pool.shutdown p
-
-(* The observability contract: pool.kills and pool.quarantined land in
-   the metric tree with the same deterministic values at any -j. *)
-let test_supervision_obs () =
-  let counters jobs =
-    let obs = Exom_obs.Obs.create () in
-    let p = Pool.create ~jobs () in
-    let tasks = List.init 5 (fun i () -> if i = 1 then kill () else i) in
-    ignore (Batch.run_tasks ~obs ~fatal:Chaos.is_fatal p tasks);
-    Pool.shutdown p;
-    let m = Exom_obs.Obs.metrics obs in
-    (Metrics.counter_value m "pool.kills",
-     Metrics.counter_value m "pool.quarantined")
-  in
-  let k1, q1 = counters 1 in
-  Alcotest.(check int) "kills counted"
-    (Batch.default_quarantine_after - 1)
-    k1;
-  Alcotest.(check int) "one quarantined slot" 1 q1;
-  Alcotest.(check bool) "-j4 metrics identical" true ((k1, q1) = counters 4)
-
 (* {2 Determinism: -j1 vs -j4, warm vs cold} *)
 
 let fault_of name fid =
@@ -515,20 +373,34 @@ let full_sig (r : Runner.result) =
   ( locate_sig r, rep.Demand.verifications, rep.Demand.verify_queries,
     rep.Demand.robustness, rep.Demand.failures )
 
-(* Every suite fault: the determinism contract holds row by row. *)
+(* Every suite fault: the determinism contract holds row by row.  So it
+   does under interpreter chaos, where a failing switched run is
+   contained inside its own task: grepsim V4-F2 under one fault of each
+   kind, robustness accounting and failure journal included (a
+   fault-injected search need not locate). *)
 let test_j1_vs_j4 () =
   let p1 = Pool.create ~jobs:1 () in
   let p4 = Pool.create ~jobs:4 () in
+  let check_same ?chaos name (b, f) =
+    let seq = Runner.run_fault ?chaos ~pool:p1 b f in
+    let par = Runner.run_fault ?chaos ~pool:p4 b f in
+    Alcotest.(check bool) (name ^ ": -j1 = -j4") true
+      (full_sig seq = full_sig par);
+    seq
+  in
   List.iter
     (fun (b, f) ->
       let name = b.B.name ^ " " ^ f.B.fid in
-      let seq = Runner.run_fault ~pool:p1 b f in
-      let par = Runner.run_fault ~pool:p4 b f in
-      Alcotest.(check bool) (name ^ ": -j1 = -j4") true
-        (full_sig seq = full_sig par);
+      let seq = check_same name (b, f) in
       Alcotest.(check bool) (name ^ " locates") true
         seq.Runner.report.Demand.found)
     Suite.rows;
+  List.iter
+    (fun fault ->
+      let chaos = { Chaos.seed = 0; fault } in
+      let name = "grepsim V4-F2 under " ^ Chaos.fault_to_string fault in
+      ignore (check_same ~chaos name (fault_of "grepsim" "V4-F2")))
+    Chaos.[ Crash_at 83; Raise_at 63; Truncate_budget 22; Corrupt_value 80 ];
   Pool.shutdown p1;
   Pool.shutdown p4
 
@@ -594,19 +466,8 @@ let () =
             test_pool_parallel_completes;
           Alcotest.test_case "batch preserves submission order" `Quick
             test_batch_order_and_errors;
-          Alcotest.test_case "batch cancellation" `Quick test_batch_cancel;
           Alcotest.test_case "stable grouping" `Quick test_group_by_stable;
           Alcotest.test_case "verify accounting" `Quick test_verify_accounting;
-        ] );
-      ( "supervision",
-        [
-          Alcotest.test_case "quarantine is j-invariant" `Quick
-            test_quarantine_j_invariant;
-          Alcotest.test_case "transient kill recovers" `Quick
-            test_transient_kill_recovers;
-          Alcotest.test_case "zero respawn budget degrades gracefully" `Quick
-            test_degraded_pool_completes;
-          Alcotest.test_case "supervision metrics" `Quick test_supervision_obs;
         ] );
       ( "determinism",
         [
