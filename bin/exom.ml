@@ -20,8 +20,9 @@
              ledger events
      trace   operate on trace exports (trace spine)
      corpus  corpus factory: gen (seeded manifest of validated omission
-             faults), run (sharded campaign, crash-safe resume), report,
-             mine (feature tables), seed (inject one fault in a file)
+             faults), run (one-process campaign, resumable from its
+             ledger journals), report, mine (feature tables), seed
+             (inject one fault in a file)
      chaos   seeded storage-fault storm over suite faults and corpus
              triples (io-chaos + kill/resume cuts);
              --check gates on the degradation-contract invariants      *)
@@ -311,32 +312,9 @@ let store_arg =
            read from and written to DIR (created if missing), keyed by \
            content hash of program, input, switch, budget and mode")
 
-let resilience_policy ~max_retries ~breaker =
-  match (max_retries, breaker) with
-  | Some r, _ when r < 0 -> Error "exom: --max-retries must be >= 0"
-  | _, Some k when k < 1 -> Error "exom: --breaker must be >= 1"
-  | _ ->
-    let backoff =
-      match max_retries with
-      | None -> Guard.default_policy.Guard.backoff
-      | Some r ->
-        (* grow the cap with the retries so every requested doubling can
-           actually happen *)
-        Exom_util.Backoff.make ~factor:2 ~max_retries:r
-          ~cap_factor:(1 lsl min r 20)
-    in
-    Ok
-      {
-        Guard.backoff;
-        breaker_threshold =
-          Option.value ~default:Guard.default_policy.Guard.breaker_threshold
-            breaker;
-      }
-
 let locate_cmd =
-  let action file correct_file input text root_line chaos_seed max_retries
-      breaker jobs store_dir trace_out metrics_out ledger_out resume no_rank
-      rank_model =
+  let action file correct_file input text root_line chaos_seed jobs store_dir
+      trace_out metrics_out ledger_out resume no_rank rank_model =
     let* faulty = compile_file file in
     let* correct = compile_file correct_file in
     let* root_sids =
@@ -345,7 +323,6 @@ let locate_cmd =
         Error (Printf.sprintf "exom: --root-line %d: %s" line e)
       | _, roots -> roots
     in
-    let* policy = resilience_policy ~max_retries ~breaker in
     (* The salvage read happens before the journal is re-attached to
        the same path (attaching truncates). *)
     let* resume_plan =
@@ -366,7 +343,7 @@ let locate_cmd =
     let ledger = make_ledger ledger_out in
     let store = Option.map (fun dir -> Store.create ~obs ~dir ()) store_dir in
     let* prepared =
-      Pipeline.prepare ~obs ~policy ?chaos ?store ?ledger ~prog:faulty ~correct
+      Pipeline.prepare ~obs ?chaos ?store ?ledger ~prog:faulty ~correct
         ~input ()
       |> Result.map_error Pipeline.setup_error_message
     in
@@ -438,24 +415,6 @@ let locate_cmd =
              truncation, value corruption, or a raw exception) into every \
              switched re-execution; the locator must degrade, not die")
   in
-  let max_retries_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "max-retries" ] ~docv:"N"
-          ~doc:
-            "Budget-escalation retries for a switched run that exhausts its \
-             step budget (each retry doubles the budget)")
-  in
-  let breaker_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "breaker" ] ~docv:"K"
-          ~doc:
-            "Circuit-breaker threshold: stop re-verifying a predicate after \
-             K consecutive aborted switched runs")
-  in
   let resume_arg =
     Arg.(
       value
@@ -497,8 +456,7 @@ let locate_cmd =
        ~doc:"Demand-driven execution-omission-error localization")
     Term.(
       const action $ file_arg $ correct_arg $ input_arg $ text_arg $ root_arg
-      $ chaos_seed_arg $ max_retries_arg $ breaker_arg
-      $ jobs_arg $ store_arg $ trace_out_arg $ metrics_out_arg
+      $ chaos_seed_arg $ jobs_arg $ store_arg $ trace_out_arg $ metrics_out_arg
       $ ledger_out_arg $ resume_arg $ no_rank_arg $ rank_model_arg)
 
 (* recover *)
@@ -1158,79 +1116,17 @@ let corpus_gen_cmd =
       $ out_arg)
 
 let corpus_run_cmd =
-  let action manifest_path dir shards jobs resume =
+  let action manifest_path dir jobs resume =
     match Campaign.load_manifest manifest_path with
     | Error e ->
       Printf.eprintf "%s: %s\n" manifest_path e;
       1
-    | Ok manifest when shards < 1 ->
-      ignore manifest;
-      Printf.eprintf "--shards must be >= 1\n";
-      1
     | Ok manifest ->
-      Campaign.ensure_layout dir;
-      if not resume then Campaign.reset dir;
-      Campaign.ensure_layout dir;
-      let skip =
-        if resume then begin
-          let h = Hashtbl.create 64 in
-          List.iter
-            (fun r -> Hashtbl.add h r.Campaign.o_id ())
-            (Campaign.journaled_rows dir);
-          Hashtbl.mem h
-        end
-        else fun _ -> false
-      in
-      let failed = ref 0 in
-      let run_one shard =
-        try
-          ignore
-            (Campaign.run_shard ?jobs ~dir ~manifest ~shard ~shards ~skip ())
-        with e ->
-          Printf.eprintf "shard %d failed: %s\n%!" shard (Printexc.to_string e);
-          incr failed
-      in
-      if shards = 1 then run_one 0
-      else begin
-        (* fork-per-shard: children are forked before any domain pool
-           exists (each shard creates its own), which is the only safe
-           ordering of fork and domains *)
-        let pids =
-          List.init shards (fun shard ->
-              match Unix.fork () with
-              | 0 ->
-                let code =
-                  try
-                    ignore
-                      (Campaign.run_shard ?jobs ~dir ~manifest ~shard ~shards
-                         ~skip ());
-                    0
-                  with e ->
-                    Printf.eprintf "shard %d failed: %s\n%!" shard
-                      (Printexc.to_string e);
-                    1
-                in
-                exit code
-              | pid -> pid)
-        in
-        List.iter
-          (fun pid ->
-            match Unix.waitpid [] pid with
-            | _, Unix.WEXITED 0 -> ()
-            | _, _ -> incr failed)
-          pids
-      end;
-      let rows, missing = Campaign.merge ~dir ~manifest in
+      let rows = Campaign.run ?jobs ~resume ~dir ~manifest () in
       print_string (Campaign.render_summary (Campaign.summarize rows));
       Printf.printf "outcomes: %s\n" (Filename.concat dir "outcomes.jsonl");
       Printf.printf "metrics: %s\n" (Campaign.campaign_metrics dir);
-      if missing <> [] then begin
-        Printf.eprintf "%d triples have no outcome row (first: %s)\n"
-          (List.length missing) (List.hd missing);
-        2
-      end
-      else if !failed > 0 then 1
-      else 0
+      0
   in
   let manifest_arg =
     Arg.(
@@ -1247,61 +1143,54 @@ let corpus_run_cmd =
             "Campaign directory: shared store, ledger journals and outcome \
              rows live here")
   in
-  let shards_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "shards" ] ~docv:"P"
-          ~doc:
-            "Worker processes: triples are dealt round-robin across P \
-             forked shards sharing one store.  Outcomes are byte-identical \
-             at any P")
-  in
   let resume_flag =
     Arg.(
       value & flag
       & info [ "resume" ]
           ~doc:
-            "Keep rows already journaled under --dir and re-run only the \
-             missing triples (replaying complete per-triple journals)")
+            "Keep what is already under --dir: every triple replays or \
+             resumes its ledger journal, and runs cold when the journal \
+             belongs to another triple")
   in
   Cmd.v
     (Cmd.info "run"
        ~doc:
-         "Run the localization campaign over a corpus manifest, sharded \
-          across processes against one shared store; crash-safe and \
-          resumable (--resume)")
-    Term.(
-      const action $ manifest_arg $ dir_arg $ shards_arg $ jobs_arg
-      $ resume_flag)
+         "Run the localization campaign over a corpus manifest in one \
+          process against one shared store; crash-safe and resumable \
+          (--resume)")
+    Term.(const action $ manifest_arg $ dir_arg $ jobs_arg $ resume_flag)
 
-let corpus_rows_of_path path =
+(* [report] and [mine] read the same rows: a campaign directory's
+   outcomes.jsonl, or the file itself; a bad file exits 1 *)
+let with_corpus_rows path k =
   let file =
     if Sys.is_directory path then Filename.concat path "outcomes.jsonl"
     else path
   in
-  (file, Campaign.read_rows file)
+  let* rows = Campaign.read_outcomes file in
+  if rows = [] then begin
+    Printf.eprintf "no outcome rows in %s\n" file;
+    1
+  end
+  else k rows
 
 let corpus_report_cmd =
   let action path min_located =
-    let file, rows = corpus_rows_of_path path in
-    if rows = [] then begin
-      Printf.eprintf "no outcome rows in %s\n" file;
-      1
-    end
-    else begin
-      let s = Campaign.summarize rows in
-      print_string (Campaign.render_summary s);
-      print_string (Campaign.render_rollup rows);
-      match min_located with
-      | None -> 0
-      | Some floor ->
-        let rate = float_of_int s.Campaign.s_located /. float_of_int s.Campaign.s_total in
-        if rate >= floor then 0
-        else begin
-          Printf.eprintf "located rate %.3f below floor %.3f\n" rate floor;
-          1
-        end
-    end
+    with_corpus_rows path (fun rows ->
+        let s = Campaign.summarize rows in
+        print_string (Campaign.render_summary s);
+        print_string (Campaign.render_rollup rows);
+        match min_located with
+        | None -> 0
+        | Some floor ->
+          let rate =
+            float_of_int s.Campaign.s_located /. float_of_int s.Campaign.s_total
+          in
+          if rate >= floor then 0
+          else begin
+            Printf.eprintf "located rate %.3f below floor %.3f\n" rate floor;
+            1
+          end)
   in
   let path_arg =
     Arg.(
@@ -1323,21 +1212,15 @@ let corpus_report_cmd =
 
 let corpus_mine_cmd =
   let action path out =
-    let file, rows = corpus_rows_of_path path in
-    if rows = [] then begin
-      Printf.eprintf "no outcome rows in %s\n" file;
-      1
-    end
-    else begin
-      let table = Mine.mine rows in
-      (match out with
-      | Some o ->
-        write_file o (Mine.table_to_string table);
-        Printf.eprintf "feature table -> %s\n" o
-      | None -> ());
-      print_string (Mine.render table);
-      0
-    end
+    with_corpus_rows path (fun rows ->
+        let table = Mine.mine rows in
+        (match out with
+        | Some o ->
+          write_file o (Mine.table_to_string table);
+          Printf.eprintf "feature table -> %s\n" o
+        | None -> ());
+        print_string (Mine.render table);
+        0)
   in
   let path_arg =
     Arg.(
@@ -1480,8 +1363,8 @@ let corpus_cmd =
   Cmd.group
     (Cmd.info "corpus"
        ~doc:
-         "Corpus factory: generate thousands of seeded omission faults, run \
-          sharded campaigns, mine the evidence")
+         "Corpus factory: generate seeded omission faults, run resumable \
+          campaigns over them, mine the evidence")
     [ corpus_gen_cmd; corpus_run_cmd; corpus_report_cmd; corpus_mine_cmd;
       corpus_seed_cmd ]
 

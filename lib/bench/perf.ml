@@ -32,10 +32,8 @@ let scratch_dir what =
    path the hand-written suite cannot cover. *)
 let record_corpus ?config ~jobs ~seed ~count reg =
   let dir = scratch_dir "corpus" in
-  let rows, _missing =
-    Campaign.run_local ?config ~jobs ~dir
-      ~manifest:(Campaign.generate ~seed ~count ())
-      ~shards:1 ()
+  let rows =
+    Campaign.run ?config ~jobs ~dir ~manifest:(Campaign.generate ~seed ~count ()) ()
   in
   rm_rf dir;
   let ran =

@@ -46,8 +46,8 @@ let sizes_of_chain trace chain =
   in
   { static_size = List.length sids; dynamic_size = List.length chain }
 
-let run_fault ?obs ?config ?(budget = Interp.default_budget) ?policy ?chaos
-    ?pool ?store ?ledger bench fault =
+let run_fault ?obs ?config ?(budget = Interp.default_budget) ?chaos ?pool
+    ?store ?ledger bench fault =
   (* All Table 4 timing reads come from the metrics registry (wall
      clock, not [Sys.time]: process CPU time double-counts across pool
      domains and under-counts blocking) — one accounting path shared
@@ -67,7 +67,7 @@ let run_fault ?obs ?config ?(budget = Interp.default_budget) ?policy ?chaos
   in
   let prepared =
     match
-      Pipeline.prepare ~obs ~budget ?policy ?chaos ?store ?ledger
+      Pipeline.prepare ~obs ~budget ?chaos ?store ?ledger
         ~session_timer:"runner.session_build"
         ~profile_inputs:bench.Bench_types.test_inputs ~prog:faulty ~correct
         ~input ()

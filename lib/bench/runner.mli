@@ -36,7 +36,6 @@ val run_fault :
   ?obs:Exom_obs.Obs.t ->
   ?config:Exom_core.Demand.config ->
   ?budget:int ->
-  ?policy:Exom_core.Guard.policy ->
   ?chaos:Exom_interp.Chaos.t ->
   ?pool:Exom_sched.Pool.t ->
   ?store:Exom_sched.Store.t ->

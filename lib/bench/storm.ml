@@ -268,22 +268,29 @@ let suite_legs tally ~seed ~jobs ~dir spec =
 
 let corpus_legs tally ~seed ~jobs ~count ~dir =
   let manifest = ref None in
-  let base_rows = ref [] in
+  let base = ref [] in
   let base_dir = Filename.concat dir "corpus_base" in
   let chaos_dir = Filename.concat dir "corpus_chaos" in
-  let status_by_id rows =
-    List.map (fun r -> (r.Campaign.o_id, r.Campaign.o_status)) rows
+  (* every row must agree with the fault-free campaign's *)
+  let check note ~what rows =
+    List.iter2
+      (fun r st' ->
+        if r.Campaign.o_status <> st' then begin
+          tally.wrong <- tally.wrong + 1;
+          note
+            (Printf.sprintf "triple %s %s: %s vs %s" r.Campaign.o_id what
+               r.Campaign.o_status st')
+        end)
+      rows !base
   in
   let gen_leg =
-    leg_run tally "corpus baseline" (fun note ->
+    leg_run tally "corpus baseline" (fun _ ->
         let m = Campaign.generate ~seed ~count () in
-        manifest := Some m;
-        let rows, missing =
-          Campaign.run_local ~jobs ~dir:base_dir ~manifest:m ~shards:2 ()
-        in
-        if missing <> [] then
-          note (Printf.sprintf "fault-free campaign missing %d row(s)" (List.length missing));
-        base_rows := status_by_id rows)
+        base :=
+          List.map
+            (fun r -> r.Campaign.o_status)
+            (Campaign.run ~jobs ~dir:base_dir ~manifest:m ());
+        manifest := Some m)
   in
   match !manifest with
   | None -> [ gen_leg ]
@@ -294,40 +301,13 @@ let corpus_legs tally ~seed ~jobs ~count ~dir =
              cannot even create its root has nothing to degrade to *)
           Campaign.ensure_layout chaos_dir;
           Vfs.arm (Vfs.Io_chaos.of_seed ~rate:5 (mix (seed lxor 0xc0f)));
-          let rows, _missing =
-            Campaign.run_local ~resume:true ~jobs ~dir:chaos_dir ~manifest:m
-              ~shards:2 ()
-          in
-          (* shard quarantine may drop rows; every surviving row must
-             agree with the fault-free campaign *)
-          let base = !base_rows in
-          List.iter
-            (fun (id, st) ->
-              match List.assoc_opt id base with
-              | Some st' when st' <> st ->
-                tally.wrong <- tally.wrong + 1;
-                note (Printf.sprintf "triple %s drifted under io-chaos: %s vs %s" id st st')
-              | Some _ -> ()
-              | None -> note (Printf.sprintf "triple %s not in the manifest" id))
-            (status_by_id rows))
+          check note ~what:"drifted under io-chaos"
+            (Campaign.run ~resume:true ~jobs ~dir:chaos_dir ~manifest:m ()))
     in
     let resume_leg =
       leg_run tally "corpus resume" (fun note ->
-          let rows, missing =
-            Campaign.run_local ~resume:true ~jobs ~dir:chaos_dir ~manifest:m
-              ~shards:2 ()
-          in
-          if missing <> [] then
-            note (Printf.sprintf "resumed campaign still missing %d row(s)" (List.length missing));
-          let base = !base_rows in
-          List.iter
-            (fun (id, st) ->
-              match List.assoc_opt id base with
-              | Some st' when st' <> st ->
-                tally.wrong <- tally.wrong + 1;
-                note (Printf.sprintf "triple %s wrong after resume: %s vs %s" id st st')
-              | _ -> ())
-            (status_by_id rows))
+          check note ~what:"wrong after resume"
+            (Campaign.run ~resume:true ~jobs ~dir:chaos_dir ~manifest:m ()))
     in
     [ gen_leg; io_leg; resume_leg ]
 

@@ -44,9 +44,8 @@ type report = {
       storm over the same localization, and a kill→resume cut whose
       resumed generation runs under a targeted journal-fsync ENOSPC;
     - when [corpus > 0] (default 20): a generated corpus campaign run
-      fault-free, re-run under [Io_chaos] (shard quarantine allowed,
-      surviving rows must match), then resumed fault-free to
-      completion.
+      fault-free, re-run under [Io_chaos], then resumed fault-free;
+      every row of both re-runs must match the fault-free campaign's.
 
     [jobs] sizes the verification pools (default 2).  The armed plan is
     always disarmed on exit. *)

@@ -37,7 +37,7 @@ let setup_error_message = function
   | No_failure -> "the two programs agree on this input: nothing to locate"
   | Setup_failed msg -> msg
 
-let prepare ?obs ?budget ?policy ?chaos ?store ?ledger ?session_timer
+let prepare ?obs ?budget ?chaos ?store ?ledger ?session_timer
     ?profile_inputs ~prog ~correct ~input () =
   let failed what e = Error (Setup_failed (what ^ Printexc.to_string e)) in
   match Oracle.expected ~correct_prog:correct ~input with
@@ -46,7 +46,7 @@ let prepare ?obs ?budget ?policy ?chaos ?store ?ledger ?session_timer
     let obs = match obs with Some o -> o | None -> Obs.create () in
     let profile_inputs = Option.value profile_inputs ~default:[ input ] in
     let build () =
-      Session.create ~obs ?budget ?policy ?chaos ?store ?ledger ~prog ~input
+      Session.create ~obs ?budget ?chaos ?store ?ledger ~prog ~input
         ~expected ~profile_inputs ()
     in
     match

@@ -35,14 +35,14 @@ type setup_error =
 val setup_error_message : setup_error -> string
 
 (** [prepare ~prog ~correct ~input ()] runs everything before the
-    search.  The optional arguments are {!Session.create}'s;
-    [profile_inputs] defaults to [[input]].  With [session_timer], the
+    search.  The optional arguments are {!Session.create}'s, whose
+    guard policy stays the default; [profile_inputs] defaults to
+    [[input]].  With [session_timer], the
     session build (and nothing else) is timed under that name in the
     metrics registry of [obs]. *)
 val prepare :
   ?obs:Exom_obs.Obs.t ->
   ?budget:int ->
-  ?policy:Guard.policy ->
   ?chaos:Exom_interp.Chaos.t ->
   ?store:Exom_sched.Store.t ->
   ?ledger:Exom_ledger.Ledger.t ->

@@ -11,11 +11,9 @@ module Vfs = Exom_util.Vfs
 (* The campaign's degradation contract for storage faults: absorb the
    error into [corpus.io_failures] (acknowledged so the chaos gate can
    account for it) and keep the campaign moving — a full disk under one
-   shard must not abort the fleet.  Raisers (a row journal that cannot
-   be appended even after a repair + retry) quarantine just their shard:
-   [run_local] catches, acks and continues with the next shard; the
-   quarantined shard's triples surface as [missing] ids in {!merge} and
-   are re-runnable with [--resume]. *)
+   triple must not abort the rest.  Every file the campaign writes is
+   either a triple's ledger journal (which absorbs its own failures) or
+   derived from those journals, so a [--resume] rebuilds what was lost. *)
 let note_io e =
   Vfs.ack e ~by:"corpus.io_failures";
   Printf.eprintf "exom: corpus: %s\n%!" (Vfs.error_message e)
@@ -287,45 +285,45 @@ let outcomes_header m =
          ("family", Json.Str m.m_family);
        ])
 
-let is_header line =
-  match Json.parse line with
-  | Ok j -> Json.member "schema" j <> None
-  | Error _ -> false
-
-(* Tolerant row reader: a crash can tear the journal's last line, so
-   parsing stops (rather than fails) at the first bad line. *)
-let read_rows path =
+(* The file is written whole by one rename, so a line that does not
+   parse is corruption to report, never a torn tail to drop. *)
+let read_outcomes path =
+  let fail n msg = Error (Printf.sprintf "%s: line %d: %s" path n msg) in
   match In_channel.with_open_bin path In_channel.input_all with
-  | exception Sys_error _ -> []
-  | contents ->
-    let lines = String.split_on_char '\n' contents in
-    let rec go acc = function
-      | [] -> List.rev acc
-      | line :: rest when String.trim line = "" -> go acc rest
-      | line :: rest when is_header line -> go acc rest
-      | line :: rest -> (
-        match outcome_of_string line with
-        | Ok row -> go (row :: acc) rest
-        | Error _ -> List.rev acc)
+  | exception Sys_error e -> Error e
+  | contents -> (
+    let lines =
+      match List.rev (String.split_on_char '\n' contents) with
+      | "" :: rest -> List.rev rest
+      | lines -> List.rev lines
     in
-    go [] lines
+    let header_ok line =
+      match Json.parse line with
+      | Ok j ->
+        str_field "schema" j = Ok (schema_name ^ ".outcomes")
+        && int_field "version" j = Ok schema_version
+      | Error _ -> false
+    in
+    match lines with
+    | header :: rows when header_ok header ->
+      let rec go n acc = function
+        | [] -> Ok (List.rev acc)
+        | line :: rest -> (
+          match outcome_of_string line with
+          | Ok row -> go (n + 1) (row :: acc) rest
+          | Error e -> fail n e)
+      in
+      go 2 [] rows
+    | _ ->
+      fail 1
+        (Printf.sprintf "expected a %s.outcomes v%d header" schema_name
+           schema_version))
 
-let shard_journal dir k =
-  Filename.concat dir (Printf.sprintf "outcomes.shard%d.jsonl" k)
+(* {2 Campaign metric registry}
 
-(* {2 Campaign metric registries}
-
-   Each shard reduces its journaled rows to a metrics registry
-   ("corpus.<class>.<count>" counters plus triples/located) written as
-   [metrics.shard<k>.jsonl]; the merge writes the campaign-level
-   [metrics.jsonl].  Counters merge by sum, so the canonical registry
-   — computed from the deduped merged rows — equals the absorption of
-   the shard registries whenever the partition is disjoint: the merged
-   file is byte-deterministic across reruns, [-j] and shard counts,
-   exactly like [outcomes.jsonl]. *)
-
-let shard_metrics dir k =
-  Filename.concat dir (Printf.sprintf "metrics.shard%d.jsonl" k)
+   The rows reduce to one registry ("corpus.<class>.<count>" counters
+   plus triples/located) written as [metrics.jsonl]: a function of the
+   rows alone, so byte-deterministic wherever [outcomes.jsonl] is. *)
 
 let campaign_metrics dir = Filename.concat dir "metrics.jsonl"
 
@@ -339,27 +337,6 @@ let registry_of_rows rows =
       List.iter (fun (k, v) -> Metrics.add reg (name k) v) r.o_counts)
     rows;
   reg
-
-let journaled_rows dir =
-  let files =
-    match Sys.readdir dir with
-    | exception Sys_error _ -> []
-    | entries ->
-      Array.to_list entries
-      |> List.filter (fun f ->
-             String.length f > 14
-             && String.sub f 0 14 = "outcomes.shard"
-             && Filename.check_suffix f ".jsonl")
-      |> List.sort compare
-  in
-  let seen = Hashtbl.create 64 in
-  List.concat_map (fun f -> read_rows (Filename.concat dir f)) files
-  |> List.filter (fun r ->
-         if Hashtbl.mem seen r.o_id then false
-         else begin
-           Hashtbl.add seen r.o_id ();
-           true
-         end)
 
 (* {2 Running triples} *)
 
@@ -415,102 +392,7 @@ let run_triple ?config ?pool ~dir triple =
         (if report.Demand.found then "located" else "not_located")
         (Pipeline.counts_of_report report))
 
-(* {2 Sharded campaign} *)
-
-(* One row, one [write], one [fsync] — through the checked façade.  A
-   failed append is retried once after truncating away any torn tail
-   (a short write would otherwise stop the tolerant reader in front of
-   every later row); the per-path fault budget means a seeded storm
-   lets the retry through.  A second failure raises — [run_local]
-   quarantines the shard and moves on. *)
-let append_row path row =
-  let line = outcome_to_string row ^ "\n" in
-  let size () =
-    match Unix.stat path with
-    | { Unix.st_size; _ } -> st_size
-    | exception Unix.Unix_error _ -> 0
-  in
-  let before = size () in
-  match Vfs.append path line with
-  | Ok () -> ()
-  | Error e ->
-    note_io e;
-    (try if size () > before then Unix.truncate path before
-     with Unix.Unix_error _ -> ());
-    (match Vfs.append path line with
-    | Ok () -> ()
-    | Error e -> raise (Vfs.Io_error e))
-
-let shard_slice manifest ~shard ~shards =
-  List.filteri (fun i _ -> i mod shards = shard) manifest.m_triples
-
-let run_shard ?config ?jobs ~dir ~manifest ~shard ~shards ~skip () =
-  ensure_layout dir;
-  let triples =
-    List.filter (fun t -> not (skip t.t_id)) (shard_slice manifest ~shard ~shards)
-  in
-  let journal = shard_journal dir shard in
-  (* a shard owns only the pool it creates: without [jobs] the triples
-     fall back to the process-wide default pool, which later shards and
-     locates in this process still use *)
-  let pool = Option.map (fun jobs -> Pool.create ~jobs ()) jobs in
-  Fun.protect
-    ~finally:(fun () -> Option.iter Pool.shutdown pool)
-    (fun () ->
-      let rows =
-        List.map
-          (fun t ->
-            let row = run_triple ?config ?pool ~dir t in
-            append_row journal row;
-            row)
-          triples
-      in
-      (* the shard registry covers the whole journal (resumed rows
-         included), not just this invocation's slice; it is derived
-         data, so a failed write degrades rather than raises *)
-      (match
-         Export.write_metrics (shard_metrics dir shard)
-           (registry_of_rows (read_rows journal))
-       with
-      | Ok () -> ()
-      | Error e -> note_io e);
-      rows)
-
-let merge ~dir ~manifest =
-  let by_id = Hashtbl.create 64 in
-  List.iter
-    (fun r -> if not (Hashtbl.mem by_id r.o_id) then Hashtbl.add by_id r.o_id r)
-    (journaled_rows dir);
-  let rows, missing =
-    List.fold_left
-      (fun (rows, missing) t ->
-        match Hashtbl.find_opt by_id t.t_id with
-        | Some r -> (r :: rows, missing)
-        | None -> (rows, t.t_id :: missing))
-      ([], []) manifest.m_triples
-  in
-  let rows = List.rev rows and missing = List.rev missing in
-  let b = Buffer.create 4096 in
-  Buffer.add_string b (outcomes_header manifest);
-  Buffer.add_char b '\n';
-  List.iter
-    (fun r ->
-      Buffer.add_string b (outcome_to_string r);
-      Buffer.add_char b '\n')
-    rows;
-  (* the merged artifacts are derived from the journals: a failed write
-     degrades (re-running [merge] rebuilds them), the rows still return *)
-  let outcomes = Filename.concat dir "outcomes.jsonl" in
-  (match
-     Vfs.write_file_atomic ~tmp:(outcomes ^ ".tmp") outcomes
-       (Buffer.contents b)
-   with
-  | Ok () -> ()
-  | Error e -> note_io e);
-  (match Export.write_metrics (campaign_metrics dir) (registry_of_rows rows) with
-  | Ok () -> ()
-  | Error e -> note_io e);
-  (rows, missing)
+(* {2 The campaign} *)
 
 (* A fresh (non-resume) run must not see a previous campaign's rows,
    journals or verdicts. *)
@@ -522,41 +404,36 @@ let reset dir =
     end
     else Sys.remove path
   in
-  if Sys.file_exists dir then
-    Array.iter
-      (fun f ->
-        let p = Filename.concat dir f in
-        if
-          f = "journals" || f = "store" || f = "outcomes.jsonl"
-          || f = "metrics.jsonl"
-          || (String.length f > 14 && String.sub f 0 14 = "outcomes.shard")
-          || (String.length f > 13 && String.sub f 0 13 = "metrics.shard")
-        then rm p)
-      (Sys.readdir dir)
+  List.iter
+    (fun f ->
+      let p = Filename.concat dir f in
+      if Sys.file_exists p then rm p)
+    [ "journals"; "store"; "outcomes.jsonl"; "metrics.jsonl" ]
 
-let run_local ?config ?jobs ?(resume = false) ~dir ~manifest ~shards () =
-  ensure_layout dir;
+let run ?config ?jobs ?(resume = false) ~dir ~manifest () =
   if not resume then reset dir;
   ensure_layout dir;
-  let skip =
-    if resume then begin
-      let done_ids = Hashtbl.create 64 in
-      List.iter (fun r -> Hashtbl.add done_ids r.o_id ()) (journaled_rows dir);
-      Hashtbl.mem done_ids
-    end
-    else fun _ -> false
+  (* the campaign owns only the pool it creates: without [jobs] the
+     triples run on the process-wide default pool, which later
+     campaigns and locates in this process still use *)
+  let pool = Option.map (fun jobs -> Pool.create ~jobs ()) jobs in
+  let rows =
+    Fun.protect
+      ~finally:(fun () -> Option.iter Pool.shutdown pool)
+      (fun () -> List.map (run_triple ?config ?pool ~dir) manifest.m_triples)
   in
-  for shard = 0 to shards - 1 do
-    match run_shard ?config ?jobs ~dir ~manifest ~shard ~shards ~skip () with
-    | _ -> ()
-    | exception Vfs.Io_error e ->
-      (* quarantine just this shard: its un-journaled triples come back
-         as [missing] from the merge and a [--resume] picks them up *)
-      Vfs.ack e ~by:"corpus.io_failures";
-      Printf.eprintf "exom: corpus: shard %d quarantined: %s\n%!" shard
-        (Vfs.error_message e)
-  done;
-  merge ~dir ~manifest
+  let contents =
+    String.concat "\n" (outcomes_header manifest :: List.map outcome_to_string rows)
+    ^ "\n"
+  in
+  let outcomes = Filename.concat dir "outcomes.jsonl" in
+  (match Vfs.write_file_atomic ~tmp:(outcomes ^ ".tmp") outcomes contents with
+  | Ok () -> ()
+  | Error e -> note_io e);
+  (match Export.write_metrics (campaign_metrics dir) (registry_of_rows rows) with
+  | Ok () -> ()
+  | Error e -> note_io e);
+  rows
 
 (* {2 Summaries} *)
 

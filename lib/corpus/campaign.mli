@@ -1,31 +1,33 @@
 (** Corpus campaigns: generate a manifest of validated (program, fault,
-    input) triples, run the locator over every triple — sharded across
-    worker processes against one shared sharded store — and leave
-    byte-deterministic artifacts behind.
+    input) triples, run the locator over every triple in one process
+    against one shared verdict store, and leave byte-deterministic
+    artifacts behind.
 
     {b Artifacts} (all under one campaign directory):
     - [manifest.json] — the corpus: [{"schema":"exom.corpus","version":1}]
       plus one record per triple with both sources inline, the failing
       input, the ground-truth root (line + sids) and static features.
       Byte-deterministic in [(seed, count, family)].
-    - [outcomes.shard<k>.jsonl] — shard [k]'s append-only row journal,
-      fsynced after every row; the crash-safe record of completed
-      triples.
     - [journals/<id>.jsonl] — each triple's ledger journal
-      ({!Exom_ledger.Ledger.attach_journal}); a triple killed mid-run is
-      resumed from it by the PR-5 replay machinery.
-    - [outcomes.jsonl] — the merged artifact: a schema header line
-      followed by one row per triple in id order.  Contains no
-      wall-clock, shard, or job-count fields, so it is byte-identical
-      across reruns, [-j], and shard counts.
+      ({!Exom_ledger.Ledger.attach_journal}), overwritten by its
+      canonical ledger when the triple ends: the campaign's only crash
+      record.
+    - [store/] — the verdict store every triple shares.
+    - [outcomes.jsonl] — a schema header line followed by one row per
+      triple in manifest order, written whole by one rename after the
+      last triple.  Contains no wall-clock or job-count fields, so it
+      is byte-identical across reruns, [-j] and resumes.
+    - [metrics.jsonl] — the rows' counter registry ({!registry_of_rows}).
 
-    {b Resume}: a re-run with [--resume] keeps every row already in a
-    shard journal verbatim, replays any triple whose ledger journal is
-    complete, and re-runs the rest.  One documented wrinkle: a triple
-    killed {e mid-localization} re-runs against whatever verdicts it had
-    already persisted, so its store-tier row counters can legitimately
-    differ from an uninterrupted run's; every other field, and every
-    other row, is byte-identical. *)
+    {b Resume}: a re-run with [resume] runs every triple through
+    {!run_triple} again, which replays a complete journal without a
+    switched run, resumes an interrupted one, and runs cold when the
+    journal does not match the triple's session (say, another
+    manifest's triple at the same id).  One documented wrinkle: a
+    triple killed {e mid-localization} re-runs against whatever
+    verdicts it had already persisted, so its row's work and store
+    counters ([verifications], [completed], the store tiers) can differ
+    from an uninterrupted run's; every other row is byte-identical. *)
 
 (** One corpus entry. *)
 type triple = {
@@ -96,34 +98,24 @@ val count : outcome -> string -> int
 val outcome_to_string : outcome -> string
 val outcome_of_string : string -> (outcome, string) result
 
-(** The merged-outcomes header line for [manifest]. *)
+(** The [outcomes.jsonl] header line for [manifest]. *)
 val outcomes_header : manifest -> string
 
-(** Tolerant JSONL row reader: parses rows until the first torn or
-    foreign line (a crash may tear the tail), dropping the rest. *)
-val read_rows : string -> outcome list
-
-(** [shard_journal dir k] — shard [k]'s row journal path. *)
-val shard_journal : string -> int -> string
-
-(** Rows already journaled under [dir] (all shard files, any past shard
-    count), deduped by id. *)
-val journaled_rows : string -> outcome list
+(** [read_outcomes path] reads an [outcomes.jsonl]: the first line
+    must be an [exom.corpus.outcomes] v1 header and every later line a
+    row.  The error names [path] and the first bad line. *)
+val read_outcomes : string -> (outcome list, string) result
 
 (** Create the campaign directory layout ([dir], [dir]/store,
     [dir]/journals) if missing. *)
 val ensure_layout : string -> unit
 
-(** Delete a previous campaign's artifacts under [dir] (row journals,
-    ledger journals, store, merged outcomes) so a fresh run cannot see
-    them.  The manifest and anything else in [dir] are left alone. *)
-val reset : string -> unit
-
 (** Run one triple in-process against the campaign directory's shared
     store, journaling its ledger under [dir]/journals and resuming from
-    a prior journal when one matches.  [pool] is the caller's worker pool (one per shard, reused across triples).  [config]
-    overrides the locator's configuration (e.g. [ranking = None] for a
-    static-order control leg). *)
+    a prior journal when one matches.  [pool] is the caller's worker
+    pool, reused across triples.  [config] overrides the locator's
+    configuration (e.g. [ranking = None] for a static-order control
+    leg). *)
 val run_triple :
   ?config:Exom_core.Demand.config ->
   ?pool:Exom_sched.Pool.t ->
@@ -131,40 +123,23 @@ val run_triple :
   triple ->
   outcome
 
-(** [run_shard ~dir ~manifest ~shard ~shards ~skip ()] runs this
-    shard's slice of the manifest (triples [i] with [i mod shards =
-    shard], skipping ids in [skip]), appending each row to the shard
-    journal as it completes.  With [jobs], the shard creates a worker
-    pool of that size and shuts it down when it ends; without, the
-    triples run on {!Exom_sched.Pool.default}, which stays up.  Returns
-    the rows written. *)
-val run_shard :
-  ?config:Exom_core.Demand.config ->
-  ?jobs:int ->
-  dir:string ->
-  manifest:manifest ->
-  shard:int ->
-  shards:int ->
-  skip:(string -> bool) ->
-  unit ->
-  outcome list
-
-(** Merge all journaled rows into [outcomes.jsonl] (header + rows in id
-    order, restricted to manifest ids).  Returns the rows and the ids
-    the journals were missing. *)
-val merge : dir:string -> manifest:manifest -> outcome list * string list
-
-(** In-process campaign driver (tests; the CLI forks instead): runs
-    shards [0..shards-1] sequentially, then merges. *)
-val run_local :
+(** [run ~dir ~manifest ()] runs every manifest triple in order
+    through {!run_triple}, then writes [outcomes.jsonl] and
+    [metrics.jsonl] and returns the rows.  Without [resume] it first
+    deletes a previous campaign's journals, store, outcomes and metrics
+    under [dir] (the manifest and any other file stay).  With [jobs],
+    the campaign creates a worker pool of that size and shuts it down
+    when it ends; without, the triples run on
+    {!Exom_sched.Pool.default}, which stays up.  A failed write of
+    either file is absorbed into [corpus.io_failures]. *)
+val run :
   ?config:Exom_core.Demand.config ->
   ?jobs:int ->
   ?resume:bool ->
   dir:string ->
   manifest:manifest ->
-  shards:int ->
   unit ->
-  outcome list * string list
+  outcome list
 
 type summary = {
   s_total : int;
@@ -177,19 +152,13 @@ type summary = {
 val summarize : outcome list -> summary
 val render_summary : summary -> string
 
-(** {2 Campaign metric registries}
+(** {2 Campaign metric registry}
 
-    Each shard reduces its journaled rows to a
-    ["corpus.<class>.<count>"] counter registry written as
-    [metrics.shard<k>.jsonl]; {!merge} writes the campaign-level
-    [metrics.jsonl] from the deduped merged rows.  Counters merge by
-    sum, so the canonical registry equals the absorption of the shard
-    registries over any disjoint partition — byte-deterministic across
-    reruns, [-j] and shard counts, like [outcomes.jsonl].  All files
-    are {!Exom_obs.Export} JSONL, readable by [exom stats] and
-    [exom audit]. *)
+    {!run} reduces the rows to a ["corpus.<class>.<count>"] counter
+    registry written as [metrics.jsonl] — byte-deterministic wherever
+    [outcomes.jsonl] is, and {!Exom_obs.Export} JSONL, readable by
+    [exom stats] and [exom audit]. *)
 
-val shard_metrics : string -> int -> string
 val campaign_metrics : string -> string
 val registry_of_rows : outcome list -> Exom_obs.Metrics.t
 

@@ -344,7 +344,7 @@ let spans_of_string content =
     Ok (spans, None)
   else spans_of_jsonl content
 
-(* {2 Bare-registry JSONL (corpus shard metric files)} *)
+(* {2 Bare-registry JSONL (campaign metric files, perf snapshots)} *)
 
 let metric_jsonl_lines reg =
   header_line :: List.map metric_line (Metrics.to_list reg)

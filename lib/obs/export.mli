@@ -49,6 +49,6 @@ val spans_of_chrome : string -> (Span.t list, string) result
 val spans_of_string : string -> (Span.t list * salvage option, string) result
 
 (** Write just a metrics registry as a JSONL log (header + one record
-    per metric) — the corpus shard registry format, readable by
-    {!metrics_of_jsonl}. *)
+    per metric) — the campaign registry and perf snapshot format,
+    readable by {!metrics_of_jsonl}. *)
 val write_metrics : string -> Metrics.t -> (unit, Exom_util.Vfs.error) result

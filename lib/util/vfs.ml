@@ -315,42 +315,6 @@ let write_file_atomic ?(fsync = false) ?tmp path content =
             remove_quietly tmp;
             Error e))))
 
-let append ?(fsync = true) path data =
-  match decide Write path with
-  | Some Short_write ->
-    (try
-       let fd =
-         Unix.openfile path [ Unix.O_WRONLY; Unix.O_APPEND; Unix.O_CREAT ] 0o644
-       in
-       Fun.protect
-         ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-         (fun () ->
-           ignore (Unix.write_substring fd data 0 (String.length data / 2)))
-     with Unix.Unix_error _ -> ());
-    Error (injected Write path Short_write)
-  | Some f -> Error (injected Write path f)
-  | None -> (
-    match
-      catching Write path (fun () ->
-          let fd =
-            Unix.openfile path
-              [ Unix.O_WRONLY; Unix.O_APPEND; Unix.O_CREAT ]
-              0o644
-          in
-          Fun.protect
-            ~finally:(fun () -> Unix.close fd)
-            (fun () ->
-              let n = Unix.write_substring fd data 0 (String.length data) in
-              if n <> String.length data then failwith "short write";
-              if fsync then Unix.fsync fd))
-    with
-    | Error e -> Error e
-    | exception Failure m -> Error (real Write path m)
-    | Ok () -> (
-      match if fsync then probe Fsync path else None with
-      | Some e -> Error e  (* appended, durability unknown *)
-      | None -> Ok ()))
-
 let sync_channel path oc =
   match catching Fsync path (fun () -> flush oc) with
   | Error e -> Error e

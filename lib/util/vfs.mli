@@ -1,6 +1,6 @@
 (** The checked I/O façade: every persistence path in the system —
     store entries, ledger canonical writes and journal syncs, campaign
-    manifests and outcome rows, metric exports — goes through these
+    manifests and outcome files, metric exports — goes through these
     operations instead of calling [open_out]/[Unix.fsync]/[Sys.rename]
     directly.
 
@@ -11,8 +11,9 @@
       returned as a typed {!error} instead of unwinding the caller —
       each consumer implements an explicit degradation contract (the
       store drops to its memory tier, the ledger marks the run
-      DEGRADED, the campaign quarantines the shard) rather than
-      aborting a localization over a cache write.
+      DEGRADED, the campaign counts the failure and leaves the rest to
+      a resume) rather than aborting a localization over a cache
+      write.
     - {b Injectable faults.}  An optional seed-deterministic
       {!Io_chaos} plan (the storage-layer sibling of
       [Exom_interp.Chaos]) injects ENOSPC / EIO / short (torn) writes /
@@ -130,11 +131,6 @@ val ensure_dir : string -> (unit, error) result
     its previous content (only [Torn_rename] has already renamed). *)
 val write_file_atomic :
   ?fsync:bool -> ?tmp:string -> string -> string -> (unit, error) result
-
-(** Append [data] to [path] in one [write], fsyncing after (the outcome
-    row discipline).  A short write — real or injected — leaves a torn
-    tail for the tolerant readers and returns [Error]. *)
-val append : ?fsync:bool -> string -> string -> (unit, error) result
 
 (** Flush [oc] and fsync its descriptor ([path] names it for the error
     report only). *)

@@ -1,9 +1,10 @@
 (* Tests for the Exom_corpus subsystem: the program factory's seed
    determinism, the seeder's validated-omission contract, manifest and
-   campaign byte-determinism across job and shard counts, crash-safe
-   campaign resume, the miner's table (read back by the ranker), and
-   the committed example fixtures (collatz/histogram) as (faulty,
-   correct, input, root) triples the seeder and locator both accept. *)
+   campaign byte-determinism across job counts, crash-safe campaign
+   resume from the ledger journals alone, the strict outcomes reader,
+   the miner's table (read back by the ranker), and the committed
+   example fixtures (collatz/histogram) as (faulty, correct, input,
+   root) triples the seeder and locator both accept. *)
 
 module Pretty = Exom_lang.Pretty
 module Typecheck = Exom_lang.Typecheck
@@ -159,10 +160,22 @@ let test_seeder_deterministic () =
 
 (* {2 Manifest} *)
 
-let gen_manifest ?(count = 6) () = Campaign.generate ~seed:5 ~count ()
+(* Generating a manifest costs seconds (every candidate fault is
+   validated by running both programs), so the campaign cases share
+   one per count; the determinism case below generates its own two. *)
+let gen_manifest =
+  let memo = Hashtbl.create 4 in
+  fun ?(count = 6) () ->
+    match Hashtbl.find_opt memo count with
+    | Some m -> m
+    | None ->
+      let m = Campaign.generate ~seed:5 ~count () in
+      Hashtbl.add memo count m;
+      m
 
 let test_manifest_deterministic () =
-  let m1 = gen_manifest () and m2 = gen_manifest () in
+  let m1 = Campaign.generate ~seed:5 ~count:6 ()
+  and m2 = Campaign.generate ~seed:5 ~count:6 () in
   Alcotest.(check string)
     "byte-identical manifest"
     (Campaign.manifest_to_string m1)
@@ -191,138 +204,155 @@ let test_manifest_triples_validate () =
 
 let outcomes_file dir = Filename.concat dir "outcomes.jsonl"
 
-let run_campaign ?jobs ?resume ~shards manifest dir =
-  let rows, missing = Campaign.run_local ?jobs ?resume ~dir ~manifest ~shards () in
-  Alcotest.(check (list string)) "no missing rows" [] missing;
-  rows
+(* Run [manifest] as a fresh campaign in its own directory: the rows
+   and the bytes of outcomes.jsonl and metrics.jsonl. *)
+let run_fresh ?jobs manifest =
+  with_temp_dir (fun dir ->
+      let rows = Campaign.run ?jobs ~dir ~manifest () in
+      ( rows,
+        read_file (outcomes_file dir),
+        read_file (Campaign.campaign_metrics dir) ))
 
-(* The third run passes no [jobs]: every shard then runs on the
-   process-wide default pool, which the first shard must not shut down
-   under the second. *)
+(* The last two runs pass no [jobs]: both run on the process-wide
+   default pool, which the first must not shut down under the second. *)
 let test_campaign_deterministic () =
   let manifest = gen_manifest () in
-  with_temp_dir (fun d1 ->
-      with_temp_dir (fun d2 ->
-          with_temp_dir (fun d3 ->
-              let r1 = run_campaign ~jobs:1 ~shards:1 manifest d1 in
-              let _r2 = run_campaign ~jobs:4 ~shards:2 manifest d2 in
-              let _r3 = run_campaign ~shards:2 manifest d3 in
-              Alcotest.(check int)
-                "all triples ran"
-                (List.length manifest.Campaign.m_triples)
-                (List.length r1);
-              Alcotest.(check string)
-                "outcomes byte-identical at -j1/x1 and -j4/x2"
-                (read_file (outcomes_file d1))
-                (read_file (outcomes_file d2));
-              Alcotest.(check string)
-                "outcomes byte-identical at -j1/x1 and default pool/x2"
-                (read_file (outcomes_file d1))
-                (read_file (outcomes_file d3)))))
+  let rows, reference, _ = run_fresh ~jobs:1 manifest in
+  Alcotest.(check int)
+    "all triples ran"
+    (List.length manifest.Campaign.m_triples)
+    (List.length rows);
+  List.iter
+    (fun (what, jobs) ->
+      let _, outcomes, _ = run_fresh ?jobs manifest in
+      Alcotest.(check string)
+        ("outcomes byte-identical at -j1 and " ^ what)
+        reference outcomes)
+    [ ("-j4", Some 4); ("the default pool", None);
+      ("the default pool again", None) ]
 
-(* Per-shard metric registries merge to the campaign registry over any
-   disjoint partition: counters sum, so absorbing the shard files must
-   reproduce the registry computed from the merged rows byte for
-   byte — the metric analogue of the outcomes.jsonl determinism. *)
+(* The campaign registry is a function of the rows, so metrics.jsonl
+   is byte-deterministic across job counts like outcomes.jsonl. *)
 let test_campaign_metric_registries () =
   let manifest = gen_manifest () in
-  let registry_of_file path =
-    match Export.metrics_of_jsonl (read_file path) with
-    | Ok (reg, None) -> reg
-    | Ok (_, Some _) -> Alcotest.failf "%s: unexpected salvage" path
-    | Error e -> Alcotest.failf "%s: %s" path e
-  in
   let tree reg = Metrics.render ~timings:false reg in
-  with_temp_dir (fun d1 ->
-      with_temp_dir (fun d2 ->
-          let rows = run_campaign ~jobs:1 ~shards:1 manifest d1 in
-          ignore (run_campaign ~jobs:4 ~shards:2 manifest d2);
-          let canonical = tree (Campaign.registry_of_rows rows) in
-          Alcotest.(check string)
-            "campaign registry derives from the merged rows" canonical
-            (tree (registry_of_file (Campaign.campaign_metrics d1)));
-          Alcotest.(check string)
-            "campaign registry partition-invariant" canonical
-            (tree (registry_of_file (Campaign.campaign_metrics d2)));
-          let absorbed = Metrics.create () in
-          List.iter
-            (fun k ->
-              Metrics.absorb ~into:absorbed
-                (registry_of_file (Campaign.shard_metrics d2 k)))
-            [ 0; 1 ];
-          Alcotest.(check string)
-            "absorbing the shard registries reproduces the campaign \
-             registry"
-            canonical (tree absorbed)));
+  let rows, _, m1 = run_fresh ~jobs:1 manifest in
+  let _, _, m4 = run_fresh ~jobs:4 manifest in
+  (match Export.metrics_of_jsonl m1 with
+  | Ok (reg, None) ->
+    Alcotest.(check string)
+      "campaign registry derives from the rows"
+      (tree (Campaign.registry_of_rows rows))
+      (tree reg)
+  | Ok (_, Some _) -> Alcotest.fail "metrics.jsonl: unexpected salvage"
+  | Error e -> Alcotest.failf "metrics.jsonl: %s" e);
+  Alcotest.(check string) "metrics.jsonl byte-identical at -j1 and -j4" m1 m4;
   (* the rollup renders a per-class table from the same counters *)
-  with_temp_dir (fun d ->
-      let rows = run_campaign ~jobs:2 ~shards:1 manifest d in
-      let out = Campaign.render_rollup rows in
-      let contains needle =
-        let nh = String.length out and nn = String.length needle in
-        let rec go i =
-          i + nn <= nh && (String.sub out i nn = needle || go (i + 1))
-        in
-        go 0
-      in
-      List.iter
-        (fun t ->
-          Alcotest.(check bool)
-            (Exom_corpus.Seeder.class_to_string t.Campaign.t_class
-            ^ " in the rollup")
-            true
-            (contains
-               (Exom_corpus.Seeder.class_to_string t.Campaign.t_class)))
-        manifest.Campaign.m_triples;
-      Alcotest.(check bool) "verification histogram rendered" true
-        (contains "verifications per triple (histogram)"))
+  let out = Campaign.render_rollup rows in
+  let contains needle =
+    let nh = String.length out and nn = String.length needle in
+    let rec go i =
+      i + nn <= nh && (String.sub out i nn = needle || go (i + 1))
+    in
+    go 0
+  in
+  List.iter
+    (fun t ->
+      Alcotest.(check bool)
+        (Exom_corpus.Seeder.class_to_string t.Campaign.t_class
+        ^ " in the rollup")
+        true
+        (contains (Exom_corpus.Seeder.class_to_string t.Campaign.t_class)))
+    manifest.Campaign.m_triples;
+  Alcotest.(check bool) "verification histogram rendered" true
+    (contains "verifications per triple (histogram)")
 
 let test_campaign_resume () =
   let manifest = gen_manifest () in
-  with_temp_dir (fun full ->
-      with_temp_dir (fun killed ->
-          ignore (run_campaign ~jobs:2 ~shards:2 manifest full);
-          let reference = read_file (outcomes_file full) in
-          (* Simulate a campaign killed after one shard finished: only
-             shard 0's rows exist; shard 1 never ran.  (Killing between
-             triples is the clean crash point: each row is fsynced whole,
-             and a triple killed mid-localization re-runs from its own
-             journal — see the resume caveat in campaign.mli.) *)
-          Campaign.ensure_layout killed;
-          let skip _ = false in
-          ignore
-            (Campaign.run_shard ~jobs:2 ~dir:killed ~manifest ~shard:0
-               ~shards:2 ~skip ());
-          Alcotest.(check bool)
-            "partial campaign is incomplete" true
-            (List.length (Campaign.journaled_rows killed)
-            < List.length manifest.Campaign.m_triples);
-          let rows =
-            run_campaign ~jobs:2 ~resume:true ~shards:2 manifest killed
-          in
-          Alcotest.(check int)
-            "resume completes the campaign"
-            (List.length manifest.Campaign.m_triples)
-            (List.length rows);
+  let _, reference, _ = run_fresh ~jobs:2 manifest in
+  with_temp_dir (fun dir ->
+      (* Simulate a campaign killed after its third triple: the first
+         three ran as their own campaign in this directory, so three
+         complete journals exist and the rest never started.  (A triple
+         killed mid-localization resumes from its own journal — see the
+         resume caveat in campaign.mli.) *)
+      let first3 =
+        {
+          manifest with
+          Campaign.m_triples =
+            List.filteri (fun i _ -> i < 3) manifest.Campaign.m_triples;
+        }
+      in
+      ignore (Campaign.run ~jobs:2 ~dir ~manifest:first3 ());
+      Alcotest.(check int)
+        "partial campaign journaled three triples" 3
+        (Array.length (Sys.readdir (Filename.concat dir "journals")));
+      let rows = Campaign.run ~jobs:2 ~resume:true ~dir ~manifest () in
+      Alcotest.(check int)
+        "resume completes the campaign"
+        (List.length manifest.Campaign.m_triples)
+        (List.length rows);
+      Alcotest.(check string)
+        "resumed outcomes byte-identical to uninterrupted run" reference
+        (read_file (outcomes_file dir));
+      (* A second resume replays every triple and changes nothing. *)
+      let again = Campaign.run ~jobs:2 ~resume:true ~dir ~manifest () in
+      Alcotest.(check int) "idempotent" (List.length rows) (List.length again);
+      Alcotest.(check string)
+        "still byte-identical" reference
+        (read_file (outcomes_file dir)))
+
+(* Every journal left by another manifest's campaign belongs to another
+   session, so the resume runs each triple cold. *)
+let test_campaign_resume_foreign () =
+  let manifest = gen_manifest () in
+  let _, reference, _ = run_fresh ~jobs:2 manifest in
+  with_temp_dir (fun dir ->
+      ignore
+        (Campaign.run ~jobs:2 ~dir
+           ~manifest:(Campaign.generate ~seed:6 ~count:6 ())
+           ());
+      ignore (Campaign.run ~jobs:2 ~resume:true ~dir ~manifest ());
+      Alcotest.(check string)
+        "outcomes byte-identical to a fresh run's" reference
+        (read_file (outcomes_file dir)))
+
+let test_outcomes_strict () =
+  let manifest = gen_manifest () in
+  with_temp_dir (fun dir ->
+      let rows = Campaign.run ~jobs:2 ~dir ~manifest () in
+      let file = outcomes_file dir in
+      (match Campaign.read_outcomes file with
+      | Ok back ->
+        Alcotest.(check (list string))
+          "rows round-trip"
+          (List.map Campaign.outcome_to_string rows)
+          (List.map Campaign.outcome_to_string back)
+      | Error e -> Alcotest.fail e);
+      let lines = String.split_on_char '\n' (read_file file) in
+      let reject what contents ~line =
+        let cut = Filename.concat dir "cut.jsonl" in
+        Out_channel.with_open_bin cut (fun oc ->
+            Out_channel.output_string oc contents);
+        match Campaign.read_outcomes cut with
+        | Ok rows ->
+          Alcotest.failf "%s read as %d rows" what (List.length rows)
+        | Error e ->
+          let needle = Printf.sprintf "%s: line %d:" cut line in
           Alcotest.(check string)
-            "resumed outcomes byte-identical to uninterrupted run" reference
-            (read_file (outcomes_file killed));
-          (* A second resume re-runs nothing and changes nothing. *)
-          let again =
-            run_campaign ~jobs:2 ~resume:true ~shards:2 manifest killed
-          in
-          Alcotest.(check int)
-            "idempotent"
-            (List.length rows)
-            (List.length again);
-          Alcotest.(check string)
-            "still byte-identical" reference
-            (read_file (outcomes_file killed))))
+            (what ^ " names the line") needle
+            (String.sub e 0 (min (String.length e) (String.length needle)))
+      in
+      reject "a torn fourth line" ~line:4
+        (String.concat "\n" (List.filteri (fun i _ -> i < 3) lines)
+        ^ "\n{\"id\":\"t00002\",\"class\":");
+      reject "a missing header" ~line:1
+        (String.concat "\n" (List.tl lines)))
 
 let test_campaign_located_rate () =
   let manifest = gen_manifest ~count:8 () in
   with_temp_dir (fun dir ->
-      let rows = run_campaign ~jobs:2 ~shards:2 manifest dir in
+      let rows = Campaign.run ~jobs:2 ~dir ~manifest () in
       let s = Campaign.summarize rows in
       let rate =
         float_of_int s.Campaign.s_located /. float_of_int s.Campaign.s_total
@@ -336,7 +366,7 @@ let test_campaign_located_rate () =
 let test_mine_roundtrip () =
   let manifest = gen_manifest () in
   with_temp_dir (fun dir ->
-      let rows = run_campaign ~jobs:2 ~shards:1 manifest dir in
+      let rows = Campaign.run ~jobs:2 ~dir ~manifest () in
       let t1 = Mine.mine rows in
       let s1 = Mine.table_to_string t1 in
       Alcotest.(check string)
@@ -489,6 +519,10 @@ let () =
           Alcotest.test_case "kill + resume byte-identical" `Slow
             test_campaign_resume;
           Alcotest.test_case "located rate" `Slow test_campaign_located_rate;
+          Alcotest.test_case "resume over another manifest" `Slow
+            test_campaign_resume_foreign;
+          Alcotest.test_case "outcomes reader is strict" `Slow
+            test_outcomes_strict;
         ] );
       ( "mine",
         [ Alcotest.test_case "roundtrip" `Slow test_mine_roundtrip ] );

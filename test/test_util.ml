@@ -211,10 +211,8 @@ let test_vfs_plain_roundtrip () =
       Alcotest.(check bool) "write ok" true
         (Vfs.write_file_atomic p "hello" = Ok ());
       Alcotest.(check string) "content" "hello" (read_all p);
-      Alcotest.(check bool) "append ok" true (Vfs.append p " world" = Ok ());
-      Alcotest.(check string) "appended" "hello world" (read_all p);
       (match Vfs.read_file p with
-      | Ok s -> Alcotest.(check string) "read back" "hello world" s
+      | Ok s -> Alcotest.(check string) "read back" "hello" s
       | Error e -> Alcotest.fail (Vfs.error_message e));
       Sys.remove p;
       let c = Vfs.counters () in
@@ -261,15 +259,24 @@ let test_vfs_seeded_deterministic () =
       let paths = List.init 7 (fun i -> Printf.sprintf "%s.p%d" base i) in
       let run () =
         Vfs.arm (Vfs.Io_chaos.of_seed ~rate:3 ~per_path:99 42);
-        (* one chaos decision per unsynced append *)
+        (* each unsynced atomic write consults the plan at its write,
+           close and rename *)
         let decisions =
           List.init 40 (fun i ->
-              match Vfs.append ~fsync:false (List.nth paths (i mod 7)) "x" with
+              let p = List.nth paths (i mod 7) in
+              match
+                Vfs.write_file_atomic ~fsync:false ~tmp:(p ^ ".tmp") p "x"
+              with
               | Error e -> Vfs.fault_to_string (Option.get e.Vfs.ve_fault)
               | Ok () -> ".")
         in
         Vfs.disarm ();
-        List.iter (fun p -> if Sys.file_exists p then Sys.remove p) paths;
+        List.iter
+          (fun p ->
+            List.iter
+              (fun f -> if Sys.file_exists f then Sys.remove f)
+              [ p; p ^ ".tmp" ])
+          paths;
         decisions
       in
       let a = run () and b = run () in
@@ -289,20 +296,6 @@ let test_vfs_per_path_budget () =
       Alcotest.(check bool) "retry passes under the path budget" true
         (Vfs.write_file_atomic p "v" = Ok ());
       Alcotest.(check string) "retry landed" "v" (read_all p);
-      Sys.remove p)
-
-let test_vfs_short_append_leaves_torn_tail () =
-  with_disarmed (fun () ->
-      let p = tmp_path () in
-      Alcotest.(check bool) "seed line" true (Vfs.append p "full line\n" = Ok ());
-      Vfs.arm
-        (Vfs.Io_chaos.targeted ~op:Vfs.Write ~path_substr:"exom_vfs_test"
-           ~after:1 Vfs.Short_write);
-      (match Vfs.append p "0123456789\n" with
-      | Ok () -> Alcotest.fail "short write should report an error"
-      | Error e -> Vfs.ack e ~by:"test.io_failures");
-      Alcotest.(check string) "torn prefix on disk" "full line\n01234"
-        (read_all p);
       Sys.remove p)
 
 let test_vfs_torn_rename_renames () =
@@ -347,7 +340,6 @@ let () =
           tc "targeted fires once" test_vfs_targeted_fires_once;
           tc "seeded deterministic" test_vfs_seeded_deterministic;
           tc "per-path budget" test_vfs_per_path_budget;
-          tc "short append torn tail" test_vfs_short_append_leaves_torn_tail;
           tc "torn rename renames" test_vfs_torn_rename_renames ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
