@@ -846,10 +846,10 @@ let bench_one name fid jobs store_dir trace_out metrics_out ledger_out export
         Printf.printf "  %s\n" (Pipeline.store_line r.Runner.report.Demand.store);
         let g = r.Runner.robustness in
         Printf.printf
-          "  robustness: %d completed, %d aborted, %d retried, breaker \
-           trips/skips %d/%d, captured %d\n"
-          g.Guard.completed g.Guard.aborted g.Guard.retried
-          g.Guard.breaker_trips g.Guard.breaker_skips g.Guard.captured;
+          "  robustness: %d completed, %d aborted, breaker trips/skips \
+           %d/%d, captured %d\n"
+          g.Guard.completed g.Guard.aborted g.Guard.breaker_trips
+          g.Guard.breaker_skips g.Guard.captured;
         0)
 
 let bench_cmd =

@@ -120,8 +120,8 @@ let table_4 results =
 let robustness results =
   table
     "== Robustness telemetry (switched re-executions during Table 3/4 runs) =="
-    "LLRRRRRR"
-    [ "Benchmark"; "Error"; "runs"; "completed"; "aborted"; "retried";
+    "LLRRRRR"
+    [ "Benchmark"; "Error"; "runs"; "completed"; "aborted";
       "breaker trips/skips"; "captured" ]
     (List.map
        (fun (r : Runner.result) ->
@@ -131,7 +131,6 @@ let robustness results =
            string_of_int r.Runner.report.Demand.verifications;
            string_of_int g.Guard.completed;
            string_of_int g.Guard.aborted;
-           string_of_int g.Guard.retried;
            Printf.sprintf "%d/%d" g.Guard.breaker_trips g.Guard.breaker_skips;
            string_of_int g.Guard.captured ])
        results)

@@ -158,10 +158,10 @@ let locate ?(config = default_config) ?pool (s : Session.t) ~oracle
           in
           Rank.observe r ~sid ~verdict)
         pairs rs;
-      (* the ledger-tuned guard knobs ride the same evidence loop: the
-         failure journal is merged in submission order (and restored
-         from checkpoints on resume), so the derived tunings are as
-         deterministic as the scores *)
+      (* the ledger-tuned breaker thresholds ride the same evidence
+         loop: the failure journal is merged in submission order (and
+         restored from checkpoints on resume), so the derived thresholds
+         are as deterministic as the scores *)
       Guard.auto_tune s.Session.guard);
     rs
   in
@@ -411,7 +411,6 @@ let locate ?(config = default_config) ?pool (s : Session.t) ~oracle
   let g = Guard.stats s.Session.guard in
   sync "guard.completed" g.Guard.completed;
   sync "guard.aborted" g.Guard.aborted;
-  sync "guard.retried" g.Guard.retried;
   sync "guard.breaker_trips" g.Guard.breaker_trips;
   sync "guard.breaker_skips" g.Guard.breaker_skips;
   sync "guard.captured" g.Guard.captured;

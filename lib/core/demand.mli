@@ -27,7 +27,7 @@ type report = {
       (** failure-inducing dependence chain (Table 3 OS) *)
   verif_seconds : float;  (** Table 4 Verif. *)
   robustness : Guard.stats;
-      (** robustness telemetry: completed/aborted/retried re-executions,
+      (** robustness telemetry: completed/aborted re-executions,
           breaker trips and skips, contained exceptions.
           [completed + aborted = verifications]. *)
   store : Exom_sched.Store.stats;
@@ -54,12 +54,12 @@ type config = {
       (** evidence-driven verification ordering: each expansion's
           candidates verify in descending posterior-yield order with an
           early-exit policy cutting low-yield instance tails, and the
-          guard's breaker/escalation knobs are re-tuned from the failure
-          journal between batches.  Ordering, cuts and scores are
+          guard's per-predicate breaker thresholds are re-tuned from the
+          failure journal between batches.  Ordering, cuts and scores are
           byte-deterministic (recorded as ledger [Rank] events) and
           invariant across [-j], warm/cold stores and kill/resume.
-          [None] restores the paper's static order and static guard
-          knobs. *)
+          [None] restores the paper's static order and the static
+          breaker threshold. *)
 }
 
 (** Ranked by default ([ranking = Some Exom_rank.Rank.default_config],

@@ -2,12 +2,12 @@
 
     The paper's verifier treats every aborted switched run as a terminal
     verdict and lets any unexpected exception kill the whole session.
-    This module centralizes the counter-measures:
+    This module keeps the first rule, replaces the second with
+    containment, and adds a breaker:
 
-    - {b adaptive budget escalation}: a [Budget_exhausted] run is
-      retried with a grown step budget (see {!Exom_util.Backoff}) before
-      the abort is accepted — a tight timer must not masquerade as "the
-      switch hangs the program";
+    - {b one budget}: each switched run executes once, under the
+      session's step budget (the paper's timer); a [Budget_exhausted]
+      run, like a crashed one, fails its verification;
     - {b circuit breaker}: after [breaker_threshold] {e consecutive}
       aborted switched runs of one static predicate in a session, that
       predicate is no longer re-verified — its verifications are skipped
@@ -17,14 +17,14 @@
       injected by {!Exom_interp.Chaos}) are captured and converted into
       failures, never propagated.
 
-    Every skipped, aborted, retried, or captured verification is
-    accounted for in {!stats} and logged in the failure journal, so a
-    degraded localization is distinguishable from a clean one. *)
+    Every skipped, aborted, or captured verification is accounted for in
+    {!stats} and logged in the failure journal, so a degraded
+    localization is distinguishable from a clean one. *)
 
 (** Why one verification produced no (or only a degraded) verdict. *)
 type verify_failure =
-  | Run_crashed of string  (** final attempt crashed in the interpreter *)
-  | Run_budget_exhausted  (** still out of budget after every escalation *)
+  | Run_crashed of string  (** the run crashed in the interpreter *)
+  | Run_budget_exhausted  (** the run exhausted the session's step budget *)
   | Breaker_open of int  (** skipped: the breaker for this sid is open *)
   | Captured of string  (** unexpected exception, converted not raised *)
 
@@ -36,20 +36,6 @@ val failure_code : verify_failure -> string
 
 val failure_of_code : string -> verify_failure option
 
-type policy = {
-  backoff : Exom_util.Backoff.t;  (** budget escalation ladder *)
-  breaker_threshold : int;
-      (** consecutive aborts of one static predicate that open its
-          breaker; [max_int] disables the breaker *)
-}
-
-(** {!Exom_util.Backoff.default}, breaker at 8. *)
-val default_policy : policy
-
-(** A policy with no retries and no breaker — the pre-resilience
-    behaviour, useful for differential tests. *)
-val strict_policy : policy
-
 (** Mutable per-session accounting.  Invariant maintained by
     {!execute}: [completed + aborted] equals the number of re-executions
     actually performed (= [Session.verifications]); [breaker_skips]
@@ -57,7 +43,6 @@ val strict_policy : policy
 type stats = {
   mutable completed : int;  (** re-executions that ran to termination *)
   mutable aborted : int;  (** re-executions that crashed / ran out *)
-  mutable retried : int;  (** escalation re-attempts (subset of runs) *)
   mutable breaker_trips : int;  (** breakers that opened *)
   mutable breaker_skips : int;  (** verifications skipped while open *)
   mutable captured : int;  (** exceptions contained (runs or analysis) *)
@@ -90,8 +75,10 @@ val absorb : t -> shard -> unit
     table structure. *)
 val prepare : t -> sids:int list -> unit
 
-val create : ?policy:policy -> unit -> t
-val policy : t -> policy
+(** [breaker_threshold] (default 8) is the number of consecutive aborts
+    of one static predicate that open its breaker. *)
+val create : ?breaker_threshold:int -> unit -> t
+
 val stats : t -> stats
 
 (** The failure journal, oldest first: (static predicate sid, failure). *)
@@ -100,29 +87,22 @@ val failures : t -> (int * verify_failure) list
 (** Is the circuit breaker for [sid] open? *)
 val breaker_open : t -> sid:int -> bool
 
-(** {2 Ledger-tuned knobs}
+(** {2 Ledger-tuned breaker}
 
-    The policy's breaker threshold and escalation ladder are static
-    session-wide defaults; [auto_tune] replaces them per predicate with
-    values derived from the failure journal.  Only the failures of a
-    run — [Run_crashed], [Run_budget_exhausted], [Captured] — feed the
-    rule, never [Breaker_open] skips; every one is deterministic in
+    The breaker threshold is a static session-wide default; [auto_tune]
+    lowers it per predicate from the failure journal.  Only the failures
+    of a run — [Run_crashed], [Run_budget_exhausted], [Captured] — feed
+    the rule, never [Breaker_open] skips; every one is deterministic in
     (program, input, budget, chaos), so the derived table is identical
     at any [-j] and across kill/resume (the journal is
     checkpoint-restored and the table is recomputed from it).  Called
     by [Demand] between batches when evidence-driven ranking is
     enabled. *)
 
-(** A per-sid override: breaker threshold and escalation retries. *)
-type tuning = { tn_breaker_threshold : int; tn_max_retries : int }
-
-(** Recompute every override from the current failure journal: a sid
-    with ≥ 2 deterministic failures gets threshold 2 and a
-    single-attempt ladder.  Coordinator-only, between batches. *)
+(** Recompute every per-sid threshold from the current failure journal:
+    a sid with ≥ 2 deterministic failures gets threshold 2.
+    Coordinator-only, between batches. *)
 val auto_tune : t -> unit
-
-(** The override in effect for [sid], if any. *)
-val tuning_of : t -> sid:int -> tuning option
 
 (** Record an unexpected exception that was contained {e outside} a
     re-execution (e.g. during alignment of a corrupted trace). *)
@@ -159,27 +139,17 @@ type outcome =
       (** aborted, but the trace prefix is still usable for alignment *)
   | Skipped of verify_failure  (** no run happened / nothing usable *)
 
-(** [execute t ~sid ~base_budget ~run] performs one verification
-    end-to-end under the policy: breaker check, budget ladder,
-    exception containment, stats and breaker bookkeeping.  [run] is one
-    re-execution attempt at a given budget; it is called between one and
-    [Backoff.attempts] times.  Every exception [run] raises is contained
-    as {!Captured}. *)
+(** [execute t ~sid ~run] performs one verification end-to-end: breaker
+    check, the single re-execution [run ()] (which runs under the
+    session's step budget), exception containment, stats and breaker
+    bookkeeping.  Every exception [run] raises is contained as
+    {!Captured}. *)
 val execute :
-  t ->
-  sid:int ->
-  base_budget:int ->
-  run:(budget:int -> Exom_interp.Interp.run) ->
-  outcome
+  t -> sid:int -> run:(unit -> Exom_interp.Interp.run) -> outcome
 
 (** Like {!execute}, but accounting into a worker shard.  The breaker
     table on [t] is still consulted and updated — callers must ensure
     all runs of one [sid] stay on one worker (the batch planner's
     sid-grouping guarantees this). *)
 val execute_in :
-  t ->
-  shard ->
-  sid:int ->
-  base_budget:int ->
-  run:(budget:int -> Exom_interp.Interp.run) ->
-  outcome
+  t -> shard -> sid:int -> run:(unit -> Exom_interp.Interp.run) -> outcome

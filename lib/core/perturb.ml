@@ -22,7 +22,7 @@ module Value = Exom_interp.Value
    exception — is charged to the verify.run timer.  Perturbation runs on
    the coordinator (it is not batched), so it charges the session's
    merged registry directly. *)
-let perturbed_run (s : Session.t) ~budget ~d ~candidate =
+let perturbed_run (s : Session.t) ~d ~candidate =
   let inst = Trace.get s.Session.trace d in
   let vswitch =
     { Interp.vswitch_sid = inst.Trace.sid; vswitch_occ = inst.Trace.occ;
@@ -30,8 +30,8 @@ let perturbed_run (s : Session.t) ~budget ~d ~candidate =
   in
   let obs = s.Session.obs in
   Exom_obs.Obs.timed obs "verify.run" (fun () ->
-      Interp.run ~obs ~vswitch ?chaos:s.Session.chaos ~budget s.Session.prog
-        ~input:s.Session.input)
+      Interp.run ~obs ~vswitch ?chaos:s.Session.chaos ~budget:s.Session.budget
+        s.Session.prog ~input:s.Session.input)
 
 let classify (s : Session.t) ~(run' : Interp.run) ~d ~u =
   match run'.Interp.trace with
@@ -74,8 +74,8 @@ let classify (s : Session.t) ~(run' : Interp.run) ~d ~u =
 let verify_value (s : Session.t) ~d ~candidate ~u =
   let sid = (Trace.get s.Session.trace d).Trace.sid in
   match
-    Guard.execute s.Session.guard ~sid ~base_budget:s.Session.budget
-      ~run:(fun ~budget -> perturbed_run s ~budget ~d ~candidate)
+    Guard.execute s.Session.guard ~sid
+      ~run:(fun () -> perturbed_run s ~d ~candidate)
   with
   | Guard.Skipped _ -> Verdict.Not_id
   | Guard.Completed run' | Guard.Degraded (run', _) -> (

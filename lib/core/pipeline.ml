@@ -120,11 +120,10 @@ let report_text ~pool info (report : Demand.report) ~root_line =
   Printf.bprintf b "%s\n" (store_line report.Demand.store);
   let g = report.Demand.robustness in
   Printf.bprintf b
-    "robustness: %d re-executions (%d completed, %d aborted, %d retried), \
-     breaker trips %d (skips %d), contained exceptions %d\n"
+    "robustness: %d re-executions (%d completed, %d aborted), breaker trips \
+     %d (skips %d), contained exceptions %d\n"
     report.Demand.verifications g.Guard.completed g.Guard.aborted
-    g.Guard.retried g.Guard.breaker_trips g.Guard.breaker_skips
-    g.Guard.captured;
+    g.Guard.breaker_trips g.Guard.breaker_skips g.Guard.captured;
   Option.iter
     (Printf.bprintf b "DEGRADED result: %s\n")
     report.Demand.degraded;

@@ -36,7 +36,7 @@ val setup_error_message : setup_error -> string
 
 (** [prepare ~prog ~correct ~input ()] runs everything before the
     search.  The optional arguments are {!Session.create}'s, whose
-    guard policy stays the default; [profile_inputs] defaults to
+    breaker threshold stays the default; [profile_inputs] defaults to
     [[input]].  With [session_timer], the
     session build (and nothing else) is timed under that name in the
     metrics registry of [obs]. *)

@@ -129,8 +129,8 @@ let ledger_inst ~info ~trace i =
     occ = inst.Trace.occ;
   }
 
-let create ?obs ?(budget = Interp.default_budget) ?policy ?chaos ?store ?ledger
-    ~prog ~input ~expected ~profile_inputs () =
+let create ?obs ?(budget = Interp.default_budget) ?breaker_threshold ?chaos
+    ?store ?ledger ~prog ~input ~expected ~profile_inputs () =
   let obs = match obs with Some o -> o | None -> Obs.create () in
   Obs.with_span obs ~cat:"session" "session.create" @@ fun () ->
   let run =
@@ -177,7 +177,7 @@ let create ?obs ?(budget = Interp.default_budget) ?policy ?chaos ?store ?ledger
     wrong_output;
     vexp;
     budget;
-    guard = Guard.create ?policy ();
+    guard = Guard.create ?breaker_threshold ();
     chaos;
     obs;
     store;

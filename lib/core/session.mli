@@ -49,8 +49,8 @@ type t = {
           verification possible) *)
   budget : int;
   guard : Guard.t;
-      (** the session's resilience state: retry policy, circuit
-          breakers, robustness accounting, failure journal *)
+      (** the session's resilience state: circuit breakers,
+          robustness accounting, failure journal *)
   chaos : Exom_interp.Chaos.t option;
       (** fault injection applied to switched re-executions only; the
           failing run under diagnosis is never subjected to chaos *)
@@ -90,9 +90,11 @@ val classify_outputs :
 (** [create ~prog ~input ~expected ~profile_inputs ()] executes the
     failing run and prepares the session.  [expected] is the correct
     output stream (from the spec or a corrected version);
-    [profile_inputs] drive the value-profile collection runs.  [policy]
-    configures the resilience layer ({!Guard.default_policy} when
-    omitted); [chaos] injects faults into switched re-executions.
+    [profile_inputs] drive the value-profile collection runs.  [budget]
+    is the step budget of the failing run and of every switched
+    re-execution, each of which runs once (the paper's timer).
+    [breaker_threshold] is {!Guard.create}'s; [chaos] injects faults
+    into switched re-executions.
     [store] supplies a verdict cache to reuse across sessions (e.g. a
     persistent one); a fresh memory-only store is created when
     omitted.  [obs] supplies the observability context (enable span
@@ -103,7 +105,7 @@ val classify_outputs :
 val create :
   ?obs:Exom_obs.Obs.t ->
   ?budget:int ->
-  ?policy:Guard.policy ->
+  ?breaker_threshold:int ->
   ?chaos:Exom_interp.Chaos.t ->
   ?store:Exom_sched.Store.t ->
   ?ledger:Exom_ledger.Ledger.t ->

@@ -44,14 +44,14 @@ type mode = Edge_approximation | Path_exact
    shard (worker-local under the scheduler; merged into the session by
    the coordinator), keeping
    [Guard.stats.completed + aborted = Session.verifications]. *)
-let switched_run (s : Session.t) wobs ~budget ~p =
+let switched_run (s : Session.t) wobs ~p =
   let inst = Trace.get s.Session.trace p in
   let switch =
     { Interp.switch_sid = inst.Trace.sid; switch_occ = inst.Trace.occ }
   in
   Obs.timed wobs "verify.run" (fun () ->
-      Interp.run ~obs:wobs ~switch ?chaos:s.Session.chaos ~budget
-        s.Session.prog ~input:s.Session.input)
+      Interp.run ~obs:wobs ~switch ?chaos:s.Session.chaos
+        ~budget:s.Session.budget s.Session.prog ~input:s.Session.input)
 
 (* Does some use of [u'] read a definition that lies inside the region
    of the switched predicate [p'] (i.e. executed only because of the
@@ -252,7 +252,6 @@ let make_checkpoint (s : Session.t) =
       {
         Ledger.g_completed = g.Guard.completed;
         g_aborted = g.Guard.aborted;
-        g_retried = g.Guard.retried;
         g_breaker_trips = g.Guard.breaker_trips;
         g_breaker_skips = g.Guard.breaker_skips;
         g_captured = g.Guard.captured;
@@ -293,7 +292,6 @@ let apply_checkpoint (s : Session.t) (ck : Ledger.checkpoint) =
       {
         Guard.completed = g.Ledger.g_completed;
         aborted = g.Ledger.g_aborted;
-        retried = g.Ledger.g_retried;
         breaker_trips = g.Ledger.g_breaker_trips;
         breaker_skips = g.Ledger.g_breaker_skips;
         captured = g.Ledger.g_captured;
@@ -483,8 +481,7 @@ let verify_batch ?(mode = Edge_approximation) ?pool (s : Session.t) pairs =
               @@ fun () ->
               match
                 Guard.execute_in s.Session.guard shard ~sid
-                  ~base_budget:s.Session.budget
-                  ~run:(fun ~budget -> switched_run s wobs ~budget ~p)
+                  ~run:(fun () -> switched_run s wobs ~p)
               with
               | Guard.Skipped f ->
                 let ev =

@@ -165,6 +165,12 @@ type seeded = {
 let validation_budget = 50_000
 
 let validates ~correct ~faulty ~input =
+  (* an untraced pre-check rejects a faulty run that crashes or spins
+     to the budget before any trace is built for it; tracing never
+     changes a run's outcome, so every decision stays the same *)
+  (Interp.run ~tracing:false ~budget:validation_budget faulty ~input)
+    .Interp.outcome = Ok ()
+  &&
   let rc = Interp.run ~budget:validation_budget correct ~input in
   let rf = Interp.run ~budget:validation_budget faulty ~input in
   match (rc.Interp.outcome, rf.Interp.outcome) with

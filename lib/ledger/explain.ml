@@ -367,16 +367,14 @@ let render ?lineage ?(replay = []) evs =
   | Some ck
     when ck.Ledger.ck_failures <> [] || tripped <> []
          || ck.Ledger.ck_guard.Ledger.g_aborted > 0
-         || ck.Ledger.ck_guard.Ledger.g_retried > 0
          || ck.Ledger.ck_guard.Ledger.g_captured > 0
          || ck.Ledger.ck_store.Ledger.st_corrupted > 0 ->
     let g = ck.Ledger.ck_guard in
     pr "\n--- Robustness ---\n";
     pr
-      "guard: %d completed, %d aborted, %d retried, %d breaker trip%s \
-       (%d skip%s), %d contained exception%s\n"
-      g.Ledger.g_completed g.Ledger.g_aborted g.Ledger.g_retried
-      g.Ledger.g_breaker_trips
+      "guard: %d completed, %d aborted, %d breaker trip%s (%d skip%s), %d \
+       contained exception%s\n"
+      g.Ledger.g_completed g.Ledger.g_aborted g.Ledger.g_breaker_trips
       (if g.Ledger.g_breaker_trips = 1 then "" else "s")
       g.Ledger.g_breaker_skips
       (if g.Ledger.g_breaker_skips = 1 then "" else "s")

@@ -65,7 +65,6 @@ type slice_entry = {
 type guard_counts = {
   g_completed : int;
   g_aborted : int;
-  g_retried : int;
   g_breaker_trips : int;
   g_breaker_skips : int;
   g_captured : int;
@@ -370,11 +369,11 @@ let event_json = function
       [
         ("ev", Json.Str "checkpoint");
         (* fixed-position arrays keep checkpoint lines compact; guard
-           slots 4 and 8 held counters that no longer exist and stay 0,
-           so ledgers keep their bytes *)
+           slots 3, 4 and 8 held counters that no longer exist and stay
+           0, so ledgers keep their bytes *)
         ( "guard",
           ints
-            [ g.g_completed; g.g_aborted; g.g_retried; 0; g.g_breaker_trips;
+            [ g.g_completed; g.g_aborted; 0; 0; g.g_breaker_trips;
               g.g_breaker_skips; g.g_captured; 0 ] );
         ( "failures",
           Json.Arr
@@ -693,10 +692,10 @@ let parse_event j =
   | "checkpoint" ->
     let* g =
       match get_ints j "guard" with
-      | Some [ c; a; r; _; bt; bs; cap; _ ] ->
+      | Some [ c; a; _; _; bt; bs; cap; _ ] ->
         Ok
-          { g_completed = c; g_aborted = a; g_retried = r;
-            g_breaker_trips = bt; g_breaker_skips = bs; g_captured = cap }
+          { g_completed = c; g_aborted = a; g_breaker_trips = bt;
+            g_breaker_skips = bs; g_captured = cap }
       | _ -> Error "checkpoint.guard: expected 8 counters"
     in
     let* failures =
@@ -782,26 +781,24 @@ let check_header line =
          (String.concat ", " (List.map string_of_int readable_versions)))
   else Ok ()
 
+(* Records keep their line number in the file, blank lines included,
+   so an error names the line an editor shows. *)
 let of_string content =
-  let lines =
-    String.split_on_char '\n' content
-    |> List.filter (fun l -> String.trim l <> "")
-  in
-  match lines with
+  match Exom_obs.Export.located_lines content with
   | [] -> Error "empty ledger"
-  | header :: records ->
+  | (_, _, header) :: records ->
     let* () = check_header header in
-    let rec go lineno acc = function
+    let rec go acc = function
       | [] -> Ok (List.rev acc)
-      | line :: rest -> (
+      | (lineno, _, line) :: rest -> (
         match Json.parse line with
         | Error e -> Error (Printf.sprintf "line %d: %s" lineno e)
         | Ok j -> (
           match parse_event j with
-          | Ok e -> go (lineno + 1) (e :: acc) rest
+          | Ok e -> go (e :: acc) rest
           | Error e -> Error (Printf.sprintf "line %d: %s" lineno e)))
     in
-    go 2 [] records
+    go [] records
 
 let read_file path =
   Result.map_error (fun e -> e.Vfs.ve_msg) (Vfs.read_file path)
@@ -834,13 +831,9 @@ type recovery = {
 }
 
 let recover_string content =
-  let lines =
-    String.split_on_char '\n' content
-    |> List.filter (fun l -> String.trim l <> "")
-  in
-  match lines with
+  match Exom_obs.Export.located_lines content with
   | [] -> Error "empty journal"
-  | header :: records ->
+  | (_, _, header) :: records ->
     let* () = check_header header in
     let markers = ref 0 in
     let resumes = ref [] in
@@ -848,9 +841,9 @@ let recover_string content =
       Ok { r_events = List.rev acc; r_truncated = truncated;
            r_markers = !markers; r_resumes = List.rev !resumes }
     in
-    let rec go lineno acc = function
+    let rec go acc = function
       | [] -> finish acc false
-      | line :: rest -> (
+      | (lineno, _, line) :: rest -> (
         let last = rest = [] in
         let torn e =
           if last then finish acc true
@@ -877,13 +870,13 @@ let recover_string content =
                     | _ -> false);
                 }
                 :: !resumes;
-            go (lineno + 1) acc rest
+            go acc rest
           | None -> (
             match parse_event j with
-            | Ok e -> go (lineno + 1) (e :: acc) rest
+            | Ok e -> go (e :: acc) rest
             | Error e -> torn e)))
     in
-    go 2 [] records
+    go [] records
 
 let recover_file path =
   let* content = read_file path in

@@ -76,13 +76,12 @@ type slice_entry = {
     order upstream), so checkpoints preserve the -j byte-identity
     contract; the cumulative form means the {e last} replayed checkpoint
     alone restores a resumed session.  The guard counters serialize as
-    an eight-slot array whose slots 4 and 8 are written as 0 and
+    an eight-slot array whose slots 3, 4 and 8 are written as 0 and
     ignored on read. *)
 
 type guard_counts = {
   g_completed : int;
   g_aborted : int;
-  g_retried : int;
   g_breaker_trips : int;
   g_breaker_skips : int;
   g_captured : int;

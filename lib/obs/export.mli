@@ -28,6 +28,12 @@ val write_jsonl : string -> Obs.t -> (unit, Exom_util.Vfs.error) result
     line number and the byte offset of the torn line's first byte. *)
 type salvage = { torn_line : int; torn_byte : int }
 
+(** The non-blank lines of a JSONL document, each with its 1-based line
+    number and the byte offset of its first byte in [content].  The
+    readers here and the ledger's number their errors by these, so a
+    blank line never shifts the line an error names. *)
+val located_lines : string -> (int * int * string) list
+
 (** Rebuild the metrics registry from a JSONL log's contents; rejects
     foreign schemas and version skew.  Span and unknown records are
     skipped.  A torn {e final} line (interrupted writer) is dropped

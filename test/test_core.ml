@@ -4,7 +4,6 @@
 
 module Ast = Exom_lang.Ast
 module Typecheck = Exom_lang.Typecheck
-module Backoff = Exom_util.Backoff
 module Chaos = Exom_interp.Chaos
 module Demand = Exom_core.Demand
 module Guard = Exom_core.Guard
@@ -571,12 +570,12 @@ void main() {
    verifier must degrade to NOT_ID, count everything, and let nothing
    escape. *)
 
-let gzip_session_with ?policy ?chaos () =
+let gzip_session_with ?breaker_threshold ?chaos () =
   let faulty = compile gzip_faulty in
   let correct = compile gzip_correct in
   let expected = Oracle.expected ~correct_prog:correct ~input:[] in
   let session =
-    Session.create ?policy ?chaos ~prog:faulty ~input:[] ~expected
+    Session.create ?breaker_threshold ?chaos ~prog:faulty ~input:[] ~expected
       ~profile_inputs:[ [] ] ()
   in
   (faulty, session)
@@ -624,9 +623,8 @@ let test_chaos_exception_contained () =
 let test_breaker_opens_and_skips () =
   (* two consecutive aborts of the same static predicate open its
      breaker; the third verification is skipped without a re-execution *)
-  let policy = { Guard.default_policy with Guard.breaker_threshold = 2 } in
   let prog, session =
-    gzip_session_with ~policy
+    gzip_session_with ~breaker_threshold:2
       ~chaos:{ Chaos.seed = 0; fault = Chaos.Raise_at 1 } ()
   in
   let t = session.Session.trace in
@@ -651,10 +649,12 @@ let test_breaker_opens_and_skips () =
   Alcotest.(check int) "accounted" (Session.verifications session)
     (g.Guard.completed + g.Guard.aborted)
 
-(* Budget escalation: switching the guard sends the program through a
-   long loop the base budget cannot afford, but one doubling can. *)
+(* One budget: switching the guard sends the program through a loop
+   longer than the session's step budget.  The run executes once, and
+   its exhaustion fails the verification like a crash (the paper's
+   timer, §3.1). *)
 
-let escalation_template = {|
+let budget_template = {|
 int skip = 1;
 void main() {
   int x = 0;
@@ -669,43 +669,22 @@ void main() {
 }
 |}
 
-let escalation_session policy =
-  let faulty = compile escalation_template in
+let test_budget_exhaustion_is_final () =
+  let faulty = compile budget_template in
   let session =
-    Session.create ~budget:100 ~policy ~prog:faulty ~input:[] ~expected:[ 1 ]
+    Session.create ~budget:100 ~prog:faulty ~input:[] ~expected:[ 1 ]
       ~profile_inputs:[ [] ] ()
   in
-  let t = session.Session.trace in
-  let p = instance_of t ~sid:(sid_on_line faulty 6) ~occ:1 in
-  (faulty, session, p)
-
-let test_escalation_rescues_tight_budget () =
-  let policy =
-    { Guard.strict_policy with
-      Guard.backoff = Backoff.make ~factor:2 ~max_retries:2 ~cap_factor:8 }
-  in
-  let _, session, p = escalation_session policy in
-  Alcotest.(check string) "verified after escalation" "STRONG_ID"
+  let p = instance_of session.Session.trace ~sid:(sid_on_line faulty 6) ~occ:1 in
+  Alcotest.(check string) "timer abort is final" "NOT_ID"
     (Verdict.to_string
        (Verify.verify session ~p ~u:session.Session.wrong_output));
   let g = stats_of session in
-  Alcotest.(check bool) "at least one retry" true (g.Guard.retried >= 1);
-  Alcotest.(check int) "final attempt completed" 1 g.Guard.completed;
-  Alcotest.(check int) "earlier attempts aborted" g.Guard.retried
-    g.Guard.aborted;
-  Alcotest.(check int) "every attempt accounted" (Session.verifications session)
-    (g.Guard.completed + g.Guard.aborted)
-
-let test_no_escalation_misses () =
-  (* differential: under the strict (no-retry) policy the same
-     verification times out and is conservatively NOT_ID *)
-  let _, session, p = escalation_session Guard.strict_policy in
-  Alcotest.(check string) "timer abort without escalation" "NOT_ID"
-    (Verdict.to_string
-       (Verify.verify session ~p ~u:session.Session.wrong_output));
-  let g = stats_of session in
-  Alcotest.(check int) "no retries" 0 g.Guard.retried;
-  Alcotest.(check int) "one abort" 1 g.Guard.aborted
+  Alcotest.(check int) "one re-execution" 1 (Session.verifications session);
+  Alcotest.(check int) "one abort" 1 g.Guard.aborted;
+  match Guard.failures session.Session.guard with
+  | [ (_, Guard.Run_budget_exhausted) ] -> ()
+  | fs -> Alcotest.failf "unexpected journal (%d entries)" (List.length fs)
 
 let test_locate_under_chaos_never_raises () =
   (* a seed sweep over the full locate loop: whatever the injected fault
@@ -737,10 +716,6 @@ let test_locate_under_chaos_never_raises () =
       (Printf.sprintf "seed %d: every run accounted" seed)
       report.Demand.verifications
       (g.Guard.completed + g.Guard.aborted);
-    Alcotest.(check bool)
-      (Printf.sprintf "seed %d: retries bounded by aborts" seed)
-      true
-      (g.Guard.retried <= g.Guard.aborted);
     Alcotest.(check bool)
       (Printf.sprintf "seed %d: journal covers the failures" seed)
       true
@@ -864,9 +839,7 @@ let () =
         [ tc "injected crash degrades" test_chaos_crash_degrades;
           tc "injected exception contained" test_chaos_exception_contained;
           tc "circuit breaker opens and skips" test_breaker_opens_and_skips;
-          tc "escalation rescues a tight budget"
-            test_escalation_rescues_tight_budget;
-          tc "no escalation misses it" test_no_escalation_misses;
+          tc "no escalation misses it" test_budget_exhaustion_is_final;
           tc "locate never raises under chaos"
             test_locate_under_chaos_never_raises ] );
       ( "properties",

@@ -62,6 +62,16 @@ let test_version_check () =
   | Ok _ -> Alcotest.fail "empty content accepted"
   | Error _ -> ()
 
+(* A ledger's lines with a blank line inserted as line 3 and line 7
+   cut to a torn record, with records after it. *)
+let blank_then_damage lines =
+  List.concat
+    (List.mapi
+       (fun j l ->
+         if j = 2 then [ ""; l ] else if j = 5 then [ "{\"ev\":" ] else [ l ])
+       lines)
+  |> String.concat "\n"
+
 let test_corruption_rejected () =
   let ledger, _ = Lazy.force gzip_ledger in
   let lines = String.split_on_char '\n' (Ledger.to_string ledger) in
@@ -80,9 +90,14 @@ let test_corruption_rejected () =
   | Ok _ -> Alcotest.fail "unknown event accepted"
   | Error _ -> ());
   (* a known event missing a required field *)
-  match Ledger.of_string (mangle 2 "{\"ev\":\"prune\",\"iter\":0}") with
+  (match Ledger.of_string (mangle 2 "{\"ev\":\"prune\",\"iter\":0}") with
   | Ok _ -> Alcotest.fail "skeletal event accepted"
-  | Error _ -> ()
+  | Error _ -> ());
+  (* a blank line before the damage: the error still names the file line *)
+  match Ledger.of_string (blank_then_damage lines) with
+  | Ok _ -> Alcotest.fail "malformed line after a blank line accepted"
+  | Error e ->
+    Alcotest.(check bool) ("names file line 7: " ^ e) true (contains e "line 7:")
 
 (* {2 Rank events (schema v3)} *)
 
@@ -237,7 +252,24 @@ let test_checkpoint_events () =
   let last = List.nth checkpoints (List.length checkpoints - 1) in
   let g = last.Ledger.ck_guard in
   Alcotest.(check bool) "cumulative counts" true
-    (g.Ledger.g_completed + g.Ledger.g_aborted > 0)
+    (g.Ledger.g_completed + g.Ledger.g_aborted > 0);
+  (* guard slot 3 held a retired retry counter: an older checkpoint
+     with a non-zero slot 3 reads back, and re-serializes with the slot
+     as 0, as every fault-free ledger wrote it *)
+  let line slot3 =
+    Printf.sprintf
+      "{\"ev\":\"checkpoint\",\"guard\":[7,2,%d,0,1,1,0,0],\
+       \"failures\":[[4,\"budget\"]],\"breakers\":[[4,2,true]],\
+       \"store\":[0,0,9,0,0,9]}"
+      slot3
+  in
+  let header = List.hd (String.split_on_char '\n' (Ledger.to_string ledger)) in
+  match Ledger.of_string (header ^ "\n" ^ line 5 ^ "\n") with
+  | Error e -> Alcotest.fail ("parent-format checkpoint rejected: " ^ e)
+  | Ok evs ->
+    let written = String.split_on_char '\n' (Ledger.string_of_events evs) in
+    Alcotest.(check bool) "slot 3 re-serializes as 0" true
+      (List.mem (line 0) written)
 
 let test_recover_torn_tail () =
   let ledger, _ = Lazy.force gzip_ledger in
@@ -273,10 +305,15 @@ let test_recover_rejects_midfile_corruption () =
     String.concat "\n"
       (List.mapi (fun j l -> if j = 2 then "{\"ev\":\"sess" else l) lines)
   in
-  match Ledger.recover_string mangled with
+  (match Ledger.recover_string mangled with
   | Ok _ -> Alcotest.fail "mid-file corruption accepted"
   | Error e ->
-    Alcotest.(check bool) "error is located" true (contains e "line")
+    Alcotest.(check bool) "error is located" true (contains e "line"));
+  (* a blank line before the damage: the error still names the file line *)
+  match Ledger.recover_string (blank_then_damage lines) with
+  | Ok _ -> Alcotest.fail "mid-file corruption after a blank line accepted"
+  | Error e ->
+    Alcotest.(check bool) ("names file line 7: " ^ e) true (contains e "line 7:")
 
 let test_atomic_write () =
   (* Ledger.write goes through a same-directory temp file and rename:

@@ -1,10 +1,9 @@
 (* Tests for the utility library: growable vectors, union-find, text
-   tables, budget-escalation ladders. *)
+   tables, the checked I/O façade. *)
 
 module Vec = Exom_util.Vec
 module Uf = Exom_util.Union_find
 module Table = Exom_util.Table
-module Backoff = Exom_util.Backoff
 module Vfs = Exom_util.Vfs
 
 (* Vec *)
@@ -130,59 +129,6 @@ let test_table_aligns_mismatch () =
   match Table.create ~aligns:[ Table.Left ] [ "a"; "b" ] with
   | _ -> Alcotest.fail "expected Invalid_argument"
   | exception Invalid_argument _ -> ()
-
-(* Backoff *)
-
-let test_backoff_default_ladder () =
-  Alcotest.(check (list int)) "doubling, capped at 8x"
-    [ 1000; 2000; 4000 ]
-    (Backoff.budgets Backoff.default ~base:1000);
-  Alcotest.(check int) "attempts" 3 (Backoff.attempts Backoff.default)
-
-let test_backoff_none () =
-  Alcotest.(check (list int)) "single attempt" [ 500 ]
-    (Backoff.budgets Backoff.none ~base:500);
-  Alcotest.(check int) "one attempt" 1 (Backoff.attempts Backoff.none)
-
-let test_backoff_cap_shortens_ladder () =
-  (* three retries requested, but the cap (2x) admits one escalation *)
-  let t = Backoff.make ~factor:2 ~max_retries:3 ~cap_factor:2 in
-  Alcotest.(check (list int)) "cap cuts the ladder" [ 100; 200 ]
-    (Backoff.budgets t ~base:100)
-
-let test_backoff_validation () =
-  let expect_invalid f =
-    match f () with
-    | _ -> Alcotest.fail "expected Invalid_argument"
-    | exception Invalid_argument _ -> ()
-  in
-  expect_invalid (fun () -> Backoff.make ~factor:1 ~max_retries:1 ~cap_factor:2);
-  expect_invalid (fun () ->
-      Backoff.make ~factor:2 ~max_retries:(-1) ~cap_factor:2);
-  expect_invalid (fun () -> Backoff.make ~factor:2 ~max_retries:1 ~cap_factor:0)
-
-let test_backoff_overflow_safe () =
-  (* a huge base must not wrap around to a negative budget *)
-  let t = Backoff.make ~factor:2 ~max_retries:4 ~cap_factor:16 in
-  let ladder = Backoff.budgets t ~base:(max_int / 3) in
-  Alcotest.(check bool) "all positive" true (List.for_all (fun b -> b > 0) ladder)
-
-let prop_backoff_ladder_shape =
-  QCheck.Test.make ~name:"ladders are non-empty, increasing, capped" ~count:200
-    QCheck.(
-      quad (int_range 2 5) (int_range 0 6) (int_range 1 64) (int_range 1 100000))
-    (fun (factor, max_retries, cap_factor, base) ->
-      let t = Backoff.make ~factor ~max_retries ~cap_factor in
-      let ladder = Backoff.budgets t ~base in
-      let rec increasing = function
-        | a :: (b :: _ as rest) -> a < b && increasing rest
-        | _ -> true
-      in
-      ladder <> []
-      && List.hd ladder = base
-      && increasing ladder
-      && List.length ladder <= Backoff.attempts t
-      && List.for_all (fun b -> b <= base * cap_factor) ladder)
 
 (* Vfs: the checked I/O façade and its injectable chaos *)
 
@@ -328,12 +274,6 @@ let () =
         [ tc "render" test_table_render;
           tc "column mismatch" test_table_column_mismatch;
           tc "aligns mismatch" test_table_aligns_mismatch ] );
-      ( "backoff",
-        [ tc "default ladder" test_backoff_default_ladder;
-          tc "no escalation" test_backoff_none;
-          tc "cap shortens ladder" test_backoff_cap_shortens_ladder;
-          tc "field validation" test_backoff_validation;
-          tc "overflow safe" test_backoff_overflow_safe ] );
       ( "vfs",
         [ tc "plain roundtrip" test_vfs_plain_roundtrip;
           tc "real error typed" test_vfs_real_error_is_typed;
@@ -343,5 +283,4 @@ let () =
           tc "torn rename renames" test_vfs_torn_rename_renames ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_vec_matches_list; prop_uf_equivalence;
-            prop_backoff_ladder_shape ] ) ]
+          [ prop_vec_matches_list; prop_uf_equivalence ] ) ]
