@@ -47,14 +47,12 @@ module Ledger = Exom_ledger.Ledger
 module Lexplain = Exom_ledger.Explain
 module Rank = Exom_rank.Rank
 module Vfs = Exom_util.Vfs
+module Jsonl = Exom_obs.Jsonl
 
 open Cmdliner
 
 let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+  Result.map_error (fun e -> e.Vfs.ve_msg) (Vfs.read_file path)
 
 (* Crash-consistent: a kill mid-write leaves the old file or the new
    one, never a torn hybrid (same discipline as Ledger.write and the
@@ -64,9 +62,7 @@ let write_file path content =
   Vfs.get_ok (Vfs.write_file_atomic ~tmp:(path ^ ".tmp") path content)
 
 let compile_file path =
-  match read_file path with
-  | exception Sys_error msg -> Error msg
-  | source -> Pipeline.compile ~name:path source
+  Result.bind (read_file path) (Pipeline.compile ~name:path)
 
 (* A command's fallible set-up steps in sequence: the first [Error] is
    printed and the command exits 1. *)
@@ -379,7 +375,9 @@ let locate_cmd =
          %d in-flight event(s) re-verified live%s\n"
         plan.Recover.replayed_batches plan.Recover.replayed_verifications
         plan.Recover.dropped_events
-        (if plan.Recover.truncated then " (torn tail dropped)" else "")
+        (match plan.Recover.torn with
+        | Some t -> " (" ^ Jsonl.torn_message t ^ ")"
+        | None -> "")
     | Pipeline.Mismatched ->
       prerr_endline
         "resume: journal does not describe this program/input/budget/chaos \
@@ -509,13 +507,15 @@ let explain_ledger file content dot_out =
         Printf.eprintf
           "%s: salvaged journal (%d event(s)%s)\n" file
           (List.length r.Ledger.r_events)
-          (if r.Ledger.r_truncated then ", torn tail dropped" else "");
+          (match r.Ledger.r_torn with
+          | Some t -> ", " ^ Jsonl.torn_message t
+          | None -> "");
         Ok
           ( r.Ledger.r_events,
             Some
               {
                 Lexplain.resumes = r.Ledger.r_markers;
-                torn_tail = r.Ledger.r_truncated;
+                torn_tail = r.Ledger.r_torn <> None;
               },
             r.Ledger.r_resumes )
       | Error _ -> Error strict_err)
@@ -536,11 +536,12 @@ let explain_ledger file content dot_out =
 let explain_cmd =
   let action file correct_file input text top dot_out =
     match read_file file with
-    | exception Sys_error e ->
+    | Error e ->
       prerr_endline e;
       1
-    | content when Ledger.is_ledger content -> explain_ledger file content dot_out
-    | _ -> (
+    | Ok content when Ledger.is_ledger content ->
+      explain_ledger file content dot_out
+    | Ok _ -> (
     match correct_file with
     | None ->
       prerr_endline
@@ -937,15 +938,17 @@ let bench_cmd =
       $ trace_out_arg $ metrics_out_arg $ ledger_out_arg $ export_arg
       $ corpus_arg $ no_rank_arg)
 
+let warn_salvaged file =
+  Option.iter (fun t ->
+      Printf.eprintf "%s: %s (salvaged)\n" file (Jsonl.torn_message t))
+
 (* A --metrics-out event log or perf snapshot as a registry, with the
    torn final line the reader dropped, if any. *)
 let read_metrics file =
-  match read_file file with
-  | exception Sys_error e -> Error e
-  | content ->
-    Result.map_error
-      (Printf.sprintf "%s: %s" file)
-      (Export.metrics_of_jsonl content)
+  Result.bind (read_file file) (fun content ->
+      Result.map_error
+        (Printf.sprintf "%s: %s" file)
+        (Export.metrics_of_jsonl content))
 
 (* regress *)
 
@@ -994,12 +997,7 @@ let stats_cmd =
   let load file =
     match read_metrics file with
     | Ok (reg, salvaged) ->
-      Option.iter
-        (fun { Export.torn_line; torn_byte } ->
-          Printf.eprintf
-            "%s: torn record at line %d (byte %d) dropped (salvaged)\n" file
-            torn_line torn_byte)
-        salvaged;
+      warn_salvaged file salvaged;
       Ok reg
     | Error e -> Error e
   in
@@ -1245,7 +1243,7 @@ let corpus_mine_cmd =
 
 let corpus_seed_cmd =
   let action file seed cls line input out =
-    let source = read_file file in
+    let* source = read_file file in
     let* prog = Pipeline.compile ~name:file source in
     let* input = resolve_input input None in
     let line_of_sid p sid =
@@ -1570,21 +1568,16 @@ let audit_cmd =
 let trace_spine_cmd =
   let action file lanes out =
     match read_file file with
-    | exception Sys_error e ->
+    | Error e ->
       prerr_endline e;
       1
-    | content -> (
+    | Ok content -> (
       match Export.spans_of_string content with
       | Error e ->
         Printf.eprintf "%s: %s\n" file e;
         1
       | Ok (spans, salvage) ->
-        (match salvage with
-        | Some { Export.torn_line; torn_byte } ->
-          Printf.eprintf
-            "%s: torn record at line %d (byte %d) dropped (salvaged)\n"
-            file torn_line torn_byte
-        | None -> ());
+        warn_salvaged file salvage;
         let spine = Spine.of_spans ~lanes spans in
         (match out with
         | Some path -> write_file path (Spine.to_string spine ^ "\n")

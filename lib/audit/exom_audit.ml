@@ -19,6 +19,8 @@ module Metrics = Exom_obs.Metrics
 module Export = Exom_obs.Export
 module Ledger = Exom_ledger.Ledger
 module Json = Exom_obs.Json
+module Jsonl = Exom_obs.Jsonl
+module Vfs = Exom_util.Vfs
 
 (* {2 Loading runs} *)
 
@@ -29,47 +31,37 @@ type run = {
   events : Ledger.event list option;
   resumes : Ledger.resume_info list;
       (* resume-marker payloads when the file is a journal *)
-  torn : Export.salvage option;  (* obs JSONL torn tail, located *)
+  torn : Jsonl.salvage option;  (* obs JSONL torn tail, located *)
   ledger_torn : bool;  (* journal torn tail *)
 }
-
-let read_file path =
-  match In_channel.with_open_bin path In_channel.input_all with
-  | content -> Ok content
-  | exception Sys_error e -> Error e
-
-let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e
 
 let empty path =
   { path; spans = None; metrics = None; events = None; resumes = [];
     torn = None; ledger_torn = false }
 
-(* Sniff: ledger header -> tolerant journal read (markers kept); obs
-   JSONL header -> metrics + spans; a JSON object with traceEvents ->
-   Chrome trace (spans only). *)
+(* Sniff: ledger header -> tolerant journal read (markers kept); any
+   other file -> its spans, and its metrics when it is an obs JSONL log
+   (a Chrome trace names no schema and carries no metrics). *)
 let load path =
-  let* content = read_file path in
+  let open Jsonl in
+  let* content =
+    Result.map_error (fun e -> e.Vfs.ve_msg) (Vfs.read_file path)
+  in
   if Ledger.is_ledger content then
     let* r = Ledger.recover_string content in
     Ok
       { (empty path) with
         events = Some r.Ledger.r_events;
         resumes = r.Ledger.r_resumes;
-        ledger_torn = r.Ledger.r_truncated;
+        ledger_torn = r.Ledger.r_torn <> None;
       }
   else
-    let is_chrome =
-      match Json.parse (String.trim content) with
-      | Ok j -> Json.member "traceEvents" j <> None
-      | Error _ -> false
+    let* spans, torn = Export.spans_of_string content in
+    let* metrics =
+      if schema_of content = None then Ok None
+      else Result.map (fun (m, _) -> Some m) (Export.metrics_of_jsonl content)
     in
-    if is_chrome then
-      let* spans = Export.spans_of_chrome content in
-      Ok { (empty path) with spans = Some spans }
-    else
-      let* spans, torn = Export.spans_of_jsonl content in
-      let* metrics, _ = Export.metrics_of_jsonl content in
-      Ok { (empty path) with spans = Some spans; metrics = Some metrics; torn }
+    Ok { (empty path) with spans = Some spans; metrics; torn }
 
 (* {2 The verdict} *)
 
@@ -114,6 +106,7 @@ let diff_ledgers ea eb =
    (an explicitly requested leg one side cannot provide is an error —
    a gate must not silently pass by comparing nothing). *)
 let audit ?(lanes = Spine.All) ?(tolerance = 0.0) ?direction_of ?legs a b =
+  let open Jsonl in
   let want leg =
     match legs with None -> true | Some ls -> List.mem leg ls
   in
@@ -175,7 +168,7 @@ let render_lineage b run =
       run.resumes;
     if run.ledger_torn then pr "    journal tail torn and dropped\n";
     match run.torn with
-    | Some { Export.torn_line; torn_byte } ->
+    | Some { Jsonl.torn_line; torn_byte } ->
       pr "    obs log torn at line %d (byte %d); tail dropped\n" torn_line
         torn_byte
     | None -> ()

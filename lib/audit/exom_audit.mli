@@ -15,7 +15,7 @@ type run = {
   events : Exom_ledger.Ledger.event list option;
   resumes : Exom_ledger.Ledger.resume_info list;
       (** resume-marker payloads when the file is a journal *)
-  torn : Exom_obs.Export.salvage option;
+  torn : Exom_obs.Jsonl.salvage option;
       (** obs JSONL torn tail, located for citation *)
   ledger_torn : bool;  (** journal torn tail *)
 }

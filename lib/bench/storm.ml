@@ -49,12 +49,6 @@ let contains hay needle =
   let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
   go 0
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 (* Plain unchecked writer: storm scaffolding (the torn journals it
    manufactures) must not itself sit under the armed plan. *)
 let write_raw path content =
@@ -233,7 +227,9 @@ let suite_legs tally ~seed ~jobs ~dir spec =
     let resume_leg =
       leg_run tally (fx.fx_label ^ " kill+resume") (fun note ->
           let killed = path "killed.jsonl" in
-          write_raw killed (torn_cut (read_file (path "baseline.jsonl")));
+          (match Vfs.read_file (path "baseline.jsonl") with
+          | Ok journal -> write_raw killed (torn_cut journal)
+          | Error e -> raise (Vfs.Io_error e));
           let plan =
             match Recover.plan_of_file killed with
             | Ok p -> p

@@ -91,7 +91,7 @@ let locate ?config ?pool ?journal ?resume p ~root_sids =
       (match resumed with
       | Replayed plan ->
         Ledger.resume_marker l ~replayed:plan.Recover.salvaged_events
-          ~truncated:plan.Recover.truncated
+          ~truncated:(plan.Recover.torn <> None)
       | Cold | Mismatched -> ());
       Some l
     | _ -> None

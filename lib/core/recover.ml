@@ -22,7 +22,7 @@ type plan = {
   replayed_verifications : int;  (* Verify events inside complete groups *)
   dropped_events : int;  (* trailing events of the in-flight batch *)
   iterations : int;  (* completed slice snapshots (incl. iteration 0) *)
-  truncated : bool;  (* the journal's last line was torn *)
+  torn : Exom_obs.Jsonl.salvage option;  (* the journal's torn last line *)
   prior_resumes : int;  (* resume markers already in the journal *)
   complete : bool;  (* a Final event is present: nothing was lost *)
 }
@@ -114,7 +114,7 @@ let plan_of_recovery (r : Ledger.recovery) =
         0 groups;
     dropped_events = dropped;
     iterations;
-    truncated = r.Ledger.r_truncated;
+    torn = r.Ledger.r_torn;
     prior_resumes = r.Ledger.r_markers;
     complete;
   }
@@ -147,7 +147,9 @@ let describe plan =
   let b = Buffer.create 256 in
   let add fmt = Printf.ksprintf (fun s -> Buffer.add_string b (s ^ "\n")) fmt in
   add "salvaged events:        %d%s" plan.salvaged_events
-    (if plan.truncated then "  (torn tail dropped)" else "");
+    (match plan.torn with
+    | Some t -> "  (" ^ Exom_obs.Jsonl.torn_message t ^ ")"
+    | None -> "");
   add "completed batches:      %d  (%d verifications replayable)"
     plan.replayed_batches plan.replayed_verifications;
   add "in-flight batch events: %d  (will be re-verified live)"

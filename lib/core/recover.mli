@@ -24,7 +24,8 @@ type plan = {
       (** trailing events of the batch in flight at the kill; the
           resumed run re-verifies these live *)
   iterations : int;  (** slice snapshots salvaged (incl. iteration 0) *)
-  truncated : bool;  (** the journal's last line was torn and dropped *)
+  torn : Exom_obs.Jsonl.salvage option;
+      (** the journal's last line, torn and dropped *)
   prior_resumes : int;  (** resume markers already present *)
   complete : bool;
       (** a Final event is present — the run finished; a resume replays

@@ -1,12 +1,14 @@
 module Json = Exom_obs.Json
 module Demand = Exom_core.Demand
 module Pipeline = Exom_core.Pipeline
+module Recover = Exom_core.Recover
 module Ledger = Exom_ledger.Ledger
 module Store = Exom_sched.Store
 module Pool = Exom_sched.Pool
 module Metrics = Exom_obs.Metrics
 module Export = Exom_obs.Export
 module Vfs = Exom_util.Vfs
+module Jsonl = Exom_obs.Jsonl
 
 (* The campaign's degradation contract for storage faults: absorb the
    error into [corpus.io_failures] (acknowledged so the chaos gate can
@@ -141,43 +143,26 @@ let manifest_to_string m =
        ])
   ^ "\n"
 
-let str_field name j =
-  match Json.member name j with
-  | Some (Json.Str s) -> Ok s
-  | _ -> Error (Printf.sprintf "missing string field %S" name)
-
-let int_field name j =
-  match Option.bind (Json.member name j) Json.to_float with
-  | Some f -> Ok (int_of_float f)
-  | None -> Error (Printf.sprintf "missing numeric field %S" name)
-
-let ints_field name j =
-  match Option.bind (Json.member name j) Json.to_list with
-  | Some l ->
-    Ok (List.filter_map (fun v -> Option.map int_of_float (Json.to_float v)) l)
-  | None -> Error (Printf.sprintf "missing array field %S" name)
-
-let ( let* ) = Result.bind
-
 let triple_of_json j =
-  let* t_id = str_field "id" j in
-  let* t_seed = int_field "seed" j in
-  let* t_family = str_field "family" j in
-  let* cls = str_field "class" j in
+  let open Jsonl in
+  let* t_id = str "id" j in
+  let* t_seed = int "seed" j in
+  let* t_family = str "family" j in
+  let* cls = str "class" j in
   let* t_class =
     match Seeder.class_of_string cls with
     | Some c -> Ok c
     | None -> Error (Printf.sprintf "unknown fault class %S" cls)
   in
-  let* t_root_line = int_field "root_line" j in
-  let* t_root_sids = ints_field "root_sids" j in
-  let* t_stmts = int_field "stmts" j in
-  let* t_predicates = int_field "predicates" j in
-  let* t_procs = int_field "procs" j in
-  let* t_loc = int_field "loc" j in
-  let* t_input = ints_field "input" j in
-  let* t_correct = str_field "correct" j in
-  let* t_faulty = str_field "faulty" j in
+  let* t_root_line = int "root_line" j in
+  let* t_root_sids = ints "root_sids" j in
+  let* t_stmts = int "stmts" j in
+  let* t_predicates = int "predicates" j in
+  let* t_procs = int "procs" j in
+  let* t_loc = int "loc" j in
+  let* t_input = ints "input" j in
+  let* t_correct = str "correct" j in
+  let* t_faulty = str "faulty" j in
   Ok
     {
       t_id; t_seed; t_family; t_class; t_root_line; t_root_sids; t_stmts;
@@ -185,31 +170,14 @@ let triple_of_json j =
     }
 
 let manifest_of_string s =
-  let* j = Json.parse s in
-  let* schema = str_field "schema" j in
-  let* version = int_field "version" j in
-  if schema <> schema_name then
-    Error (Printf.sprintf "foreign schema %S" schema)
-  else if version <> schema_version then
-    Error (Printf.sprintf "unsupported %s version %d" schema_name version)
-  else
-    let* m_seed = int_field "seed" j in
-    let* m_count = int_field "count" j in
-    let* m_family = str_field "family" j in
-    let* m_attempts = int_field "attempts" j in
-    let* triples =
-      match Json.member "triples" j with
-      | Some (Json.Arr l) ->
-        List.fold_left
-          (fun acc tj ->
-            let* acc = acc in
-            let* t = triple_of_json tj in
-            Ok (t :: acc))
-          (Ok []) l
-        |> Result.map List.rev
-      | _ -> Error "missing triples array"
-    in
-    Ok { m_seed; m_count; m_family; m_attempts; m_triples = triples }
+  let open Jsonl in
+  let* j = document ~schema:schema_name ~versions:[ schema_version ] s in
+  let* m_seed = int "seed" j in
+  let* m_count = int "count" j in
+  let* m_family = str "family" j in
+  let* m_attempts = int "attempts" j in
+  let* m_triples = list "triples" triple_of_json j in
+  Ok { m_seed; m_count; m_family; m_attempts; m_triples }
 
 (* Generate-time writes (the manifest) have no degradation tier: a
    campaign without a manifest cannot run, so failure raises. *)
@@ -219,9 +187,9 @@ let write_file path contents =
 let write_manifest path m = write_file path (manifest_to_string m)
 
 let load_manifest path =
-  match In_channel.with_open_bin path In_channel.input_all with
-  | exception Sys_error e -> Error e
-  | s -> manifest_of_string s
+  match Vfs.read_file path with
+  | Ok s -> manifest_of_string s
+  | Error e -> Error e.Vfs.ve_msg
 
 (* {2 Outcome rows} *)
 
@@ -255,23 +223,27 @@ let outcome_to_string o =
          ("loc", num o.o_loc);
        ])
 
-let outcome_of_string s =
-  let* j = Json.parse s in
-  let* o_id = str_field "id" j in
-  let* o_class = str_field "class" j in
-  let* o_family = str_field "family" j in
-  let* o_status = str_field "status" j in
-  let o_counts =
+let outcome_of_json j =
+  let open Jsonl in
+  let* o_id = str "id" j in
+  let* o_class = str "class" j in
+  let* o_family = str "family" j in
+  let* o_status = str "status" j in
+  let* o_counts =
     match Json.member "counts" j with
-    | Some (Json.Obj kvs) ->
-      List.filter_map
-        (function k, Json.Num v -> Some (k, int_of_float v) | _ -> None)
-        kvs
-    | _ -> []
+    | Some (Json.Obj kvs as counts) ->
+      List.fold_left
+        (fun acc (k, _) ->
+          let* acc = acc in
+          let* n = int k counts in
+          Ok ((k, n) :: acc))
+        (Ok []) kvs
+      |> Result.map List.rev
+    | _ -> Error "missing or ill-typed object \"counts\""
   in
-  let* o_stmts = int_field "stmts" j in
-  let* o_predicates = int_field "predicates" j in
-  let* o_loc = int_field "loc" j in
+  let* o_stmts = int "stmts" j in
+  let* o_predicates = int "predicates" j in
+  let* o_loc = int "loc" j in
   Ok { o_id; o_class; o_family; o_status; o_counts; o_stmts; o_predicates; o_loc }
 
 let outcomes_header m =
@@ -288,36 +260,17 @@ let outcomes_header m =
 (* The file is written whole by one rename, so a line that does not
    parse is corruption to report, never a torn tail to drop. *)
 let read_outcomes path =
-  let fail n msg = Error (Printf.sprintf "%s: line %d: %s" path n msg) in
-  match In_channel.with_open_bin path In_channel.input_all with
-  | exception Sys_error e -> Error e
-  | contents -> (
-    let lines =
-      match List.rev (String.split_on_char '\n' contents) with
-      | "" :: rest -> List.rev rest
-      | lines -> List.rev lines
-    in
-    let header_ok line =
-      match Json.parse line with
-      | Ok j ->
-        str_field "schema" j = Ok (schema_name ^ ".outcomes")
-        && int_field "version" j = Ok schema_version
-      | Error _ -> false
-    in
-    match lines with
-    | header :: rows when header_ok header ->
-      let rec go n acc = function
-        | [] -> Ok (List.rev acc)
-        | line :: rest -> (
-          match outcome_of_string line with
-          | Ok row -> go (n + 1) (row :: acc) rest
-          | Error e -> fail n e)
-      in
-      go 2 [] rows
-    | _ ->
-      fail 1
-        (Printf.sprintf "expected a %s.outcomes v%d header" schema_name
-           schema_version))
+  let rows = ref [] in
+  let on_record j =
+    Result.map (fun row -> rows := row :: !rows) (outcome_of_json j)
+  in
+  match Vfs.read_file path with
+  | Error e -> Error e.Vfs.ve_msg
+  | Ok contents ->
+    Jsonl.records ~schema:(schema_name ^ ".outcomes")
+      ~versions:[ schema_version ] ~salvage:false ~on_record contents
+    |> Result.map (fun _ -> List.rev !rows)
+    |> Result.map_error (Printf.sprintf "%s: %s" path)
 
 (* {2 Campaign metric registry}
 
@@ -378,16 +331,29 @@ let run_triple ?config ?pool ~dir triple =
     | Error (Pipeline.Setup_failed _) -> row "error" []
     | Ok prepared ->
       let lpath = Filename.concat (journals_dir dir) (triple.t_id ^ ".jsonl") in
+      let plan = Pipeline.journal_plan lpath in
+      (* a complete journal of this session replays whole, with no
+         switched run: re-journaling it would only rewrite its bytes *)
+      let whole =
+        match plan with
+        | Some p ->
+          p.Recover.complete
+          && Recover.matches_session p prepared.Pipeline.session
+        | None -> false
+      in
       let report, _ =
-        Pipeline.locate ?config ?pool ~journal:lpath
-          ?resume:(Pipeline.journal_plan lpath) prepared
-          ~root_sids:triple.t_root_sids
+        Pipeline.locate ?config ?pool
+          ?journal:(if whole then None else Some lpath)
+          ?resume:plan prepared ~root_sids:triple.t_root_sids
       in
       (* the canonical ledger is a convenience next to the journal;
-         losing it costs a resume (the journal replays), not the row *)
-      (match Ledger.write_result lpath ledger with
-      | Ok () -> ()
-      | Error e -> note_io e);
+         losing it costs a resume (the journal replays), not the row.
+         A replayed journal that already holds it stays in place. *)
+      (if not (whole && Vfs.read_file lpath = Ok (Ledger.to_string ledger))
+       then
+         match Ledger.write_result lpath ledger with
+         | Ok () -> ()
+         | Error e -> note_io e);
       row
         (if report.Demand.found then "located" else "not_located")
         (Pipeline.counts_of_report report))

@@ -96,14 +96,14 @@ val located : outcome -> bool
 val count : outcome -> string -> int
 
 val outcome_to_string : outcome -> string
-val outcome_of_string : string -> (outcome, string) result
 
 (** The [outcomes.jsonl] header line for [manifest]. *)
 val outcomes_header : manifest -> string
 
-(** [read_outcomes path] reads an [outcomes.jsonl]: the first line
-    must be an [exom.corpus.outcomes] v1 header and every later line a
-    row.  The error names [path] and the first bad line. *)
+(** [read_outcomes path] reads an [outcomes.jsonl] strictly
+    ({!Exom_obs.Jsonl.records}): an [exom.corpus.outcomes] v1 header,
+    then one row per non-blank line.  The error names [path] and the
+    first bad line. *)
 val read_outcomes : string -> (outcome list, string) result
 
 (** Create the campaign directory layout ([dir], [dir]/store,
@@ -112,7 +112,9 @@ val ensure_layout : string -> unit
 
 (** Run one triple in-process against the campaign directory's shared
     store, journaling its ledger under [dir]/journals and resuming from
-    a prior journal when one matches.  [pool] is the caller's worker
+    a prior journal when one matches.  A complete matching journal that
+    already holds the canonical ledger is replayed and left in place,
+    neither re-journaled nor rewritten.  [pool] is the caller's worker
     pool, reused across triples.  [config] overrides the locator's
     configuration (e.g. [ranking = None] for a static-order control
     leg). *)

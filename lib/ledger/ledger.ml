@@ -526,210 +526,170 @@ let close_journal t =
 
 (* {2 Decoding} *)
 
-let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e
+module Jsonl = Exom_obs.Jsonl
 
-let require what = function
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "missing or ill-typed %s" what)
-
-let get_str j key = Option.bind (Json.member key j) Json.to_str
-let get_num j key = Option.bind (Json.member key j) Json.to_float
-
-let get_int j key = Option.map int_of_float (get_num j key)
-
-let get_bool j key =
-  match Json.member key j with Some (Json.Bool b) -> Some b | _ -> None
-
-(* [null] and a missing field both read as [None]; the field's presence
-   is enforced where it matters (required scalars go through
-   [require]). *)
-let get_opt_int j key =
-  match Json.member key j with
-  | Some (Json.Num f) -> Some (int_of_float f)
-  | _ -> None
-
-let get_opt_str j key =
-  match Json.member key j with Some (Json.Str s) -> Some s | _ -> None
-
-let get_ints j key =
-  match Json.member key j with
-  | Some (Json.Arr l) ->
-    let rec go acc = function
-      | [] -> Some (List.rev acc)
-      | Json.Num f :: rest -> go (int_of_float f :: acc) rest
-      | _ -> None
-    in
-    go [] l
-  | _ -> None
+(* A nested object's errors name it: [wrong: missing or ill-typed
+   integer "idx"]. *)
+let within key = function
+  | Ok _ as ok -> ok
+  | Error e -> Error (key ^ ": " ^ e)
 
 let parse_inst j key =
-  let* o = require key (Json.member key j) in
-  let* idx = require (key ^ ".idx") (get_int o "idx") in
-  let* sid = require (key ^ ".sid") (get_int o "sid") in
-  let* line = require (key ^ ".line") (get_int o "line") in
-  let* occ = require (key ^ ".occ") (get_int o "occ") in
-  Ok { idx; sid; line; occ }
+  let open Jsonl in
+  let o = Option.value ~default:Json.Null (Json.member key j) in
+  within key
+    (let* idx = int "idx" o in
+     let* sid = int "sid" o in
+     let* line = int "line" o in
+     let* occ = int "occ" o in
+     Ok { idx; sid; line; occ })
 
-let parse_run j =
-  match Json.member "run" j with
+(* A [null] or absent object reads as [None]. *)
+let nullable key decode j =
+  match Json.member key j with
   | None | Some Json.Null -> Ok None
-  | Some o ->
-    let* outcome = require "run.outcome" (get_str o "outcome") in
-    let* steps = require "run.steps" (get_int o "steps") in
-    let* switch_fired = require "run.switch_fired" (get_bool o "switch_fired") in
-    Ok (Some { outcome; steps; switch_fired })
+  | Some o -> within key (Result.map Option.some (decode o))
 
-let parse_align j =
-  match Json.member "align" j with
-  | None | Some Json.Null -> Ok None
-  | Some o ->
-    let* ox_restored = require "align.ox_restored" (get_bool o "ox_restored") in
-    let* rerouted = require "align.rerouted" (get_bool o "rerouted") in
-    Ok
-      (Some
-         {
-           counterpart = get_opt_int o "counterpart";
-           ox_counterpart = get_opt_int o "ox_counterpart";
-           ox_restored;
-           rerouted;
-         })
+let parse_run o =
+  let open Jsonl in
+  let* outcome = str "outcome" o in
+  let* steps = int "steps" o in
+  let* switch_fired = bool "switch_fired" o in
+  Ok { outcome; steps; switch_fired }
 
-let parse_entries j =
-  let* arr = require "entries" (Option.bind (Json.member "entries" j) Json.to_list) in
-  let rec go acc = function
-    | [] -> Ok (List.rev acc)
-    | o :: rest ->
-      let* s_idx = require "entry.idx" (get_int o "idx") in
-      let* s_sid = require "entry.sid" (get_int o "sid") in
-      let* s_line = require "entry.line" (get_int o "line") in
-      let* s_conf = require "entry.conf" (get_num o "conf") in
-      let* s_dist = require "entry.dist" (get_int o "dist") in
-      go ({ s_idx; s_sid; s_line; s_conf; s_dist } :: acc) rest
-  in
-  go [] arr
+let parse_align o =
+  let open Jsonl in
+  let* counterpart = opt_int "counterpart" o in
+  let* ox_counterpart = opt_int "ox_counterpart" o in
+  let* ox_restored = bool "ox_restored" o in
+  let* rerouted = bool "rerouted" o in
+  Ok { counterpart; ox_counterpart; ox_restored; rerouted }
+
+let parse_entry o =
+  let open Jsonl in
+  let* s_idx = int "idx" o in
+  let* s_sid = int "sid" o in
+  let* s_line = int "line" o in
+  let* s_conf = num "conf" o in
+  let* s_dist = int "dist" o in
+  Ok { s_idx; s_sid; s_line; s_conf; s_dist }
+
+(* An array of fixed-position rows, each decoded by [row]. *)
+let rows key shape row j =
+  Jsonl.list key
+    (fun r ->
+      match row r with
+      | Some v -> Ok v
+      | None -> Error (Printf.sprintf "%s: expected %s rows" key shape))
+    j
 
 let parse_event j =
-  let* ev = require "ev" (get_str j "ev") in
+  let open Jsonl in
+  let* ev = str "ev" j in
   match ev with
   | "session" ->
     let* wrong = parse_inst j "wrong" in
-    let* correct_outputs = require "correct_outputs" (get_int j "correct_outputs") in
-    let* budget = require "budget" (get_int j "budget") in
-    let* trace_len = require "trace_len" (get_int j "trace_len") in
-    Ok
-      (Session
-         { wrong; vexp = get_opt_str j "vexp"; correct_outputs; budget;
-           trace_len; chaos = get_opt_str j "chaos" })
+    let* vexp = opt_str "vexp" j in
+    let* correct_outputs = int "correct_outputs" j in
+    let* budget = int "budget" j in
+    let* trace_len = int "trace_len" j in
+    let* chaos = opt_str "chaos" j in
+    Ok (Session { wrong; vexp; correct_outputs; budget; trace_len; chaos })
   | "locate" ->
-    let* root_sids = require "root_sids" (get_ints j "root_sids") in
-    let* mode = require "mode" (get_str j "mode") in
-    let* max_iterations = require "max_iterations" (get_int j "max_iterations") in
+    let* root_sids = ints "root_sids" j in
+    let* mode = str "mode" j in
+    let* max_iterations = int "max_iterations" j in
     Ok (Locate { root_sids; mode; max_iterations })
   | "slice" ->
-    let* iter = require "iter" (get_int j "iter") in
-    let* entries = parse_entries j in
-    let* added = require "added" (get_ints j "added") in
-    let* removed = require "removed" (get_ints j "removed") in
+    let* iter = int "iter" j in
+    let* entries = within "entries" (list "entries" parse_entry j) in
+    let* added = ints "added" j in
+    let* removed = ints "removed" j in
     Ok (Slice { iter; entries; added; removed })
   | "prune" ->
-    let* iter = require "iter" (get_int j "iter") in
-    let* marked = require "marked" (get_ints j "marked") in
+    let* iter = int "iter" j in
+    let* marked = ints "marked" j in
     Ok (Prune { iter; marked })
   | "expand" ->
-    let* iter = require "iter" (get_int j "iter") in
+    let* iter = int "iter" j in
     let* u = parse_inst j "u" in
-    let* candidates = require "candidates" (get_ints j "candidates") in
+    let* candidates = ints "candidates" j in
     Ok (Expand { iter; u; candidates })
   | "rank" ->
-    let* iter = require "iter" (get_int j "iter") in
+    let* iter = int "iter" j in
     let* u = parse_inst j "u" in
-    let* prior = require "prior" (get_num j "prior") in
+    let* prior = num "prior" j in
     let* decisions =
-      match Json.member "decisions" j with
-      | Some (Json.Arr l) ->
-        let rec go acc = function
-          | [] -> Ok (List.rev acc)
-          | Json.Arr
-              [ Json.Num idx; Json.Num sid; Json.Num score; Json.Bool kept ]
-            :: rest ->
-            go
-              ({ rd_idx = int_of_float idx; rd_sid = int_of_float sid;
-                 rd_score = score; rd_kept = kept }
-              :: acc)
-              rest
-          | _ -> Error "rank.decisions: expected [idx, sid, score, kept] rows"
-        in
-        go [] l
-      | _ -> Error "missing or ill-typed rank.decisions"
+      rows "decisions" "[idx, sid, score, kept]"
+        (function
+          | Json.Arr [ idx; sid; Json.Num rd_score; Json.Bool rd_kept ] -> (
+            match (Json.to_int idx, Json.to_int sid) with
+            | Some rd_idx, Some rd_sid ->
+              Some { rd_idx; rd_sid; rd_score; rd_kept }
+            | _ -> None)
+          | _ -> None)
+        j
     in
     Ok (Rank { iter; u; prior; decisions })
   | "verify" ->
     let* vp = parse_inst j "p" in
     let* vu = parse_inst j "u" in
-    let* verdict = require "verdict" (get_str j "verdict") in
-    let* value_affected = require "value_affected" (get_bool j "value_affected") in
-    let* source = require "source" (get_str j "source") in
-    let* run = parse_run j in
-    let* align = parse_align j in
+    let* verdict = str "verdict" j in
+    let* value_affected = bool "value_affected" j in
+    let* source = str "source" j in
+    let* run = nullable "run" parse_run j in
+    let* align = nullable "align" parse_align j in
+    let* failure = opt_str "failure" j in
     Ok
       (Verify
-         { vp; vu; verdict; value_affected; source; run; align;
-           failure = get_opt_str j "failure" })
+         { vp; vu; verdict; value_affected; source; run; align; failure })
   | "edge" ->
     let* ep = parse_inst j "p" in
     let* eu = parse_inst j "u" in
-    let* strength = require "strength" (get_str j "strength") in
-    let* value_affected = require "value_affected" (get_bool j "value_affected") in
-    let* related = require "related" (get_bool j "related") in
+    let* strength = str "strength" j in
+    let* value_affected = bool "value_affected" j in
+    let* related = bool "related" j in
     Ok (Edge { ep; eu; strength; value_affected; related })
   | "batch" ->
-    let* queries = require "queries" (get_int j "queries") in
-    let* unique = require "unique" (get_int j "unique") in
-    let* cache_hits = require "cache_hits" (get_int j "cache_hits") in
-    let* runs = require "runs" (get_int j "runs") in
-    let* total_runs = require "total_runs" (get_int j "total_runs") in
+    let* queries = int "queries" j in
+    let* unique = int "unique" j in
+    let* cache_hits = int "cache_hits" j in
+    let* runs = int "runs" j in
+    let* total_runs = int "total_runs" j in
     Ok (Batch { queries; unique; cache_hits; runs; total_runs })
   | "checkpoint" ->
     let* g =
-      match get_ints j "guard" with
-      | Some [ c; a; _; _; bt; bs; cap; _ ] ->
+      let* g = ints "guard" j in
+      match g with
+      | [ c; a; _; _; bt; bs; cap; _ ] ->
         Ok
           { g_completed = c; g_aborted = a; g_breaker_trips = bt;
             g_breaker_skips = bs; g_captured = cap }
       | _ -> Error "checkpoint.guard: expected 8 counters"
     in
     let* failures =
-      match Json.member "failures" j with
-      | Some (Json.Arr l) ->
-        let rec go acc = function
-          | [] -> Ok (List.rev acc)
-          | Json.Arr [ Json.Num sid; Json.Str code ] :: rest ->
-            go ((int_of_float sid, code) :: acc) rest
-          | _ -> Error "checkpoint.failures: expected [sid, code] pairs"
-        in
-        go [] l
-      | _ -> Error "missing or ill-typed checkpoint.failures"
+      rows "failures" "[sid, code]"
+        (function
+          | Json.Arr [ sid; Json.Str code ] ->
+            Option.map (fun sid -> (sid, code)) (Json.to_int sid)
+          | _ -> None)
+        j
     in
     let* breakers =
-      match Json.member "breakers" j with
-      | Some (Json.Arr l) ->
-        let rec go acc = function
-          | [] -> Ok (List.rev acc)
-          | Json.Arr [ Json.Num sid; Json.Num consec; Json.Bool opened ]
-            :: rest ->
-            go
-              ({ b_sid = int_of_float sid;
-                 b_consecutive = int_of_float consec; b_opened = opened }
-              :: acc)
-              rest
-          | _ -> Error "checkpoint.breakers: expected [sid, n, opened] triples"
-        in
-        go [] l
-      | _ -> Error "missing or ill-typed checkpoint.breakers"
+      rows "breakers" "[sid, n, opened]"
+        (function
+          | Json.Arr [ sid; n; Json.Bool b_opened ] -> (
+            match (Json.to_int sid, Json.to_int n) with
+            | Some b_sid, Some b_consecutive ->
+              Some { b_sid; b_consecutive; b_opened }
+            | _ -> None)
+          | _ -> None)
+        j
     in
     let* s =
-      match get_ints j "store" with
-      | Some [ h; dh; m; e; c; w ] ->
+      let* s = ints "store" j in
+      match s with
+      | [ h; dh; m; e; c; w ] ->
         Ok
           { st_hits = h; st_disk_hits = dh; st_misses = m; st_evictions = e;
             st_corrupted = c; st_writes = w }
@@ -740,79 +700,44 @@ let parse_event j =
          { ck_guard = g; ck_failures = failures; ck_breakers = breakers;
            ck_store = s })
   | "final" ->
-    let* found = require "found" (get_bool j "found") in
-    let* iterations = require "iterations" (get_int j "iterations") in
-    let* edges = require "edges" (get_int j "edges") in
-    let* user_prunings = require "user_prunings" (get_int j "user_prunings") in
-    let* total_prunings = require "total_prunings" (get_int j "total_prunings") in
-    let* verifications = require "verifications" (get_int j "verifications") in
-    let* queries = require "queries" (get_int j "queries") in
-    let os_chain =
+    let* found = bool "found" j in
+    let* iterations = int "iterations" j in
+    let* edges = int "edges" j in
+    let* user_prunings = int "user_prunings" j in
+    let* total_prunings = int "total_prunings" j in
+    let* verifications = int "verifications" j in
+    let* queries = int "queries" j in
+    let* os_chain =
       match Json.member "os_chain" j with
-      | Some (Json.Arr _) -> get_ints j "os_chain"
-      | _ -> None
+      | None | Some Json.Null -> Ok None
+      | Some _ -> Result.map Option.some (ints "os_chain" j)
     in
+    let* degraded = opt_str "degraded" j in
     Ok
       (Final
          { found; iterations; edges; user_prunings; total_prunings;
-           verifications; queries; os_chain;
-           degraded = get_opt_str j "degraded" })
+           verifications; queries; os_chain; degraded })
   | other -> Error (Printf.sprintf "unknown event %S" other)
 
-let first_line content =
-  match String.index_opt content '\n' with
-  | Some i -> String.sub content 0 i
-  | None -> content
+let is_ledger content = Jsonl.schema_of content = Some schema_name
 
-let is_ledger content =
-  match Json.parse (String.trim (first_line content)) with
-  | Ok j -> get_str j "schema" = Some schema_name
-  | Error _ -> false
+let read_records ~salvage ~on_record content =
+  Jsonl.records ~schema:schema_name ~versions:readable_versions ~salvage
+    ~on_record content
 
-let check_header line =
-  let* j = Json.parse line in
-  let* schema = require "schema" (get_str j "schema") in
-  let* version = require "version" (get_num j "version") in
-  if schema <> schema_name then Error (Printf.sprintf "foreign schema %S" schema)
-  else if not (List.mem (int_of_float version) readable_versions) then
-    Error
-      (Printf.sprintf "schema version %d (this reader understands %s)"
-         (int_of_float version)
-         (String.concat ", " (List.map string_of_int readable_versions)))
-  else Ok ()
-
-(* Records keep their line number in the file, blank lines included,
-   so an error names the line an editor shows. *)
 let of_string content =
-  match Exom_obs.Export.located_lines content with
-  | [] -> Error "empty ledger"
-  | (_, _, header) :: records ->
-    let* () = check_header header in
-    let rec go acc = function
-      | [] -> Ok (List.rev acc)
-      | (lineno, _, line) :: rest -> (
-        match Json.parse line with
-        | Error e -> Error (Printf.sprintf "line %d: %s" lineno e)
-        | Ok j -> (
-          match parse_event j with
-          | Ok e -> go (e :: acc) rest
-          | Error e -> Error (Printf.sprintf "line %d: %s" lineno e)))
-    in
-    go [] records
-
-let read_file path =
-  Result.map_error (fun e -> e.Vfs.ve_msg) (Vfs.read_file path)
-
-let load path =
-  let* content = read_file path in
-  of_string content
+  let acc = ref [] in
+  let on_record j = Result.map (fun e -> acc := e :: !acc) (parse_event j) in
+  Result.map
+    (fun _ -> List.rev !acc)
+    (read_records ~salvage:false ~on_record content)
 
 (* {2 Salvage of a killed run's journal}
 
    Unlike {!of_string} (strict: canonical files must be perfect), the
    recovery reader accepts what a SIGKILL leaves behind: meta lines
-   ("type" objects — the header plus resume markers) are skipped and
-   counted, and a malformed *final* line is dropped as the torn tail.
+   ("type" objects — resume markers) are skipped and counted, and a
+   final line that does not decode is dropped as the torn tail.
    Corruption anywhere earlier still rejects — a journal whose middle
    is damaged cannot be trusted as a replay source. *)
 
@@ -823,7 +748,7 @@ type resume_info = {
 
 type recovery = {
   r_events : event list;
-  r_truncated : bool;  (* the last line was torn and dropped *)
+  r_torn : Jsonl.salvage option;  (* the torn last line, dropped *)
   r_markers : int;  (* resume markers seen (prior resumes) *)
   r_resumes : resume_info list;
       (* the markers' payloads, file order: where each resumed
@@ -831,53 +756,29 @@ type recovery = {
 }
 
 let recover_string content =
-  match Exom_obs.Export.located_lines content with
-  | [] -> Error "empty journal"
-  | (_, _, header) :: records ->
-    let* () = check_header header in
-    let markers = ref 0 in
-    let resumes = ref [] in
-    let finish acc truncated =
-      Ok { r_events = List.rev acc; r_truncated = truncated;
-           r_markers = !markers; r_resumes = List.rev !resumes }
-    in
-    let rec go acc = function
-      | [] -> finish acc false
-      | (lineno, _, line) :: rest -> (
-        let last = rest = [] in
-        let torn e =
-          if last then finish acc true
-          else Error (Printf.sprintf "line %d: %s" lineno e)
-        in
-        match Json.parse line with
-        | Error e -> torn e
-        | Ok j -> (
-          match get_str j "type" with
-          | Some kind ->
-            (* meta line; a resume marker's payload is kept so lineage
-               walks can split replayed prefix from live tail *)
-            incr markers;
-            if kind = "resume" then
-              resumes :=
-                {
-                  ri_replayed =
-                    (match Option.bind (Json.member "replayed" j) Json.to_float with
-                    | Some n -> int_of_float n
-                    | None -> 0);
-                  ri_truncated =
-                    (match Json.member "truncated" j with
-                    | Some (Json.Bool b) -> b
-                    | _ -> false);
-                }
-                :: !resumes;
-            go acc rest
-          | None -> (
-            match parse_event j with
-            | Ok e -> go (e :: acc) rest
-            | Error e -> torn e)))
-    in
-    go [] records
+  let open Jsonl in
+  let events = ref [] and markers = ref 0 and resumes = ref [] in
+  let on_record j =
+    match Json.member "type" j with
+    | Some (Json.Str kind) ->
+      (* meta line; a resume marker's payload is kept so lineage walks
+         can split replayed prefix from live tail *)
+      let* () =
+        if kind <> "resume" then Ok ()
+        else
+          let* ri_replayed = int "replayed" j in
+          let* ri_truncated = bool "truncated" j in
+          Ok (resumes := { ri_replayed; ri_truncated } :: !resumes)
+      in
+      Ok (incr markers)
+    | _ -> Result.map (fun e -> events := e :: !events) (parse_event j)
+  in
+  let* torn = read_records ~salvage:true ~on_record content in
+  Ok
+    { r_events = List.rev !events; r_torn = torn; r_markers = !markers;
+      r_resumes = List.rev !resumes }
 
 let recover_file path =
-  let* content = read_file path in
-  recover_string content
+  match Vfs.read_file path with
+  | Ok content -> recover_string content
+  | Error e -> Error e.Vfs.ve_msg

@@ -313,16 +313,16 @@ val close_journal : t -> unit
     DEGRADED. *)
 val io_failures : t -> int
 
-(** Quick sniff: does [content]'s first line carry this schema (any
-    version)?  Lets the CLI distinguish a ledger from an MCL source. *)
+(** Quick sniff ({!Exom_obs.Jsonl.schema_of}): does [content]'s first
+    line name this schema (any version)?  Lets the CLI distinguish a
+    ledger from an MCL source. *)
 val is_ledger : string -> bool
 
-(** Strict reader: rejects a missing/foreign/version-skewed header and
-    any malformed or unknown event line (a corrupted ledger must never
+(** Strict reader ({!Exom_obs.Jsonl.records}): rejects a
+    missing/foreign/version-skewed header and any malformed or unknown
+    event line, naming its file line (a corrupted ledger must never
     render as a partial narrative). *)
 val of_string : string -> (event list, string) result
-
-val load : string -> (event list, string) result
 
 (** {2 Salvage of a killed run's journal} *)
 
@@ -333,7 +333,8 @@ type resume_info = { ri_replayed : int; ri_truncated : bool }
 
 type recovery = {
   r_events : event list;
-  r_truncated : bool;  (** the last line was torn and dropped *)
+  r_torn : Exom_obs.Jsonl.salvage option;
+      (** the last line, torn and dropped *)
   r_markers : int;  (** resume meta lines seen (prior resumes) *)
   r_resumes : resume_info list;
       (** the markers' payloads in file order — the split points
@@ -341,9 +342,9 @@ type recovery = {
 }
 
 (** Tolerant reader for resume: skips meta lines and drops a malformed
-    {e final} line as the torn tail ([r_truncated]).  Corruption
-    anywhere earlier still rejects — a journal with a damaged middle
-    cannot be trusted as a replay source. *)
+    {e final} line as the torn tail ([r_torn]).  Corruption anywhere
+    earlier still rejects — a journal with a damaged middle cannot be
+    trusted as a replay source. *)
 val recover_string : string -> (recovery, string) result
 
 val recover_file : string -> (recovery, string) result

@@ -125,224 +125,119 @@ let write_chrome path obs = write_file path (Json.to_string (chrome_json obs) ^ 
 let write_jsonl path obs =
   write_file path (String.concat "\n" (jsonl_lines obs) ^ "\n")
 
-(* {2 Reading the JSONL log back (`exom stats`)} *)
+(* {2 Reading the JSONL log back (`exom stats`)}
 
-let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e
+   Span records are skipped by the metrics reader and metric records by
+   the span reader; unknown record types are skipped by both, so
+   minor-version additions stay readable.  A torn final record (a
+   crashed or interrupted writer) is salvaged, not fatal: {!Jsonl}
+   drops it and names its line. *)
 
-let require what = function
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "missing or ill-typed %s" what)
+type salvage = Jsonl.salvage = { torn_line : int; torn_byte : int }
 
-let check_header line =
-  let* j = Json.parse line in
-  let* schema = require "schema" Option.(bind (Json.member "schema" j) Json.to_str) in
-  let* version =
-    require "version" Option.(bind (Json.member "version" j) Json.to_float)
-  in
-  if schema <> schema_name then Error (Printf.sprintf "foreign schema %S" schema)
-  else if int_of_float version <> schema_version then
-    Error (Printf.sprintf "schema version %d (expected %d)" (int_of_float version)
-             schema_version)
-  else Ok ()
+let read_log ~on_record content =
+  Jsonl.records ~schema:schema_name ~versions:[ schema_version ] ~salvage:true
+    ~on_record content
 
 let restore_metric reg j =
-  let num key = Option.bind (Json.member key j) Json.to_float in
-  let* name = require "name" Option.(bind (Json.member "name" j) Json.to_str) in
-  let* kind_s = require "kind" Option.(bind (Json.member "kind" j) Json.to_str) in
-  let* kind = require "known kind" (kind_of_string kind_s) in
-  (match kind with
-  | Metrics.Counter | Metrics.Gauge ->
-    let* value = require "value" (num "value") in
+  let open Jsonl in
+  let* name = str "name" j in
+  let* kind_s = str "kind" j in
+  match kind_of_string kind_s with
+  | None -> Error (Printf.sprintf "unknown metric kind %S" kind_s)
+  | Some ((Metrics.Counter | Metrics.Gauge) as kind) ->
+    let* value = int "value" j in
     Ok
-      (Metrics.restore reg ~kind ~name ~count:0 ~value:(int_of_float value)
-         ~seconds:0.0 ~min_s:infinity ~max_s:neg_infinity)
-  | Metrics.Timer ->
-    let* count = require "count" (num "count") in
-    let* seconds = require "seconds" (num "seconds") in
+      (Metrics.restore reg ~kind ~name ~count:0 ~value ~seconds:0.0
+         ~min_s:infinity ~max_s:neg_infinity)
+  | Some Metrics.Timer ->
+    let* count = int "count" j in
+    let* seconds = num "seconds" j in
     Ok
-      (Metrics.restore reg ~kind ~name ~count:(int_of_float count) ~value:0
-         ~seconds
-         ~min_s:(Option.value ~default:infinity (num "min"))
-         ~max_s:(Option.value ~default:neg_infinity (num "max"))))
-
-(* A salvaged torn tail, located for citation: the 1-based line number
-   and the byte offset of the line's first byte in the file.  `exom
-   audit` and `exom explain` name the tear instead of a bare "the file
-   was truncated". *)
-type salvage = { torn_line : int; torn_byte : int }
-
-(* Non-blank lines with their 1-based line number and byte offset —
-   the offsets survive the blank-line filtering that the record walk
-   wants. *)
-let located_lines content =
-  let rec go lineno offset acc = function
-    | [] -> List.rev acc
-    | line :: rest ->
-      let acc =
-        if String.trim line = "" then acc else (lineno, offset, line) :: acc
-      in
-      go (lineno + 1) (offset + String.length line + 1) acc rest
-  in
-  go 1 0 [] (String.split_on_char '\n' content)
-
-(* Rebuild the metrics registry from a JSONL log's contents.  Span
-   records are skipped (the registry is what `exom stats` renders);
-   unknown record types are skipped too, so minor-version additions stay
-   readable.
-
-   A malformed {e final} record is salvaged, not fatal: a crashed or
-   interrupted writer leaves a torn last line, and everything before it
-   is still a well-formed log.  The salvage carries the torn line's position so
-   callers can cite it.  A malformed line with records {e after} it is
-   real corruption and still errors. *)
-let read_jsonl ~on_record content =
-  match located_lines content with
-  | [] -> Error "empty file"
-  | (_, _, header) :: records ->
-    let* () = check_header header in
-    let rec walk = function
-      | [] -> Ok None
-      | (lineno, offset, line) :: rest -> (
-        let fail e =
-          if rest = [] then Ok (Some { torn_line = lineno; torn_byte = offset })
-          else Error (Printf.sprintf "line %d: %s" lineno e)
-        in
-        match Json.parse line with
-        | Error e -> fail e
-        | Ok j -> (
-          match on_record j with
-          | Ok () -> walk rest
-          | Error e -> fail e))
-    in
-    walk records
+      (Metrics.restore reg ~kind:Metrics.Timer ~name ~count ~value:0 ~seconds
+         ~min_s:(Result.value ~default:infinity (num "min" j))
+         ~max_s:(Result.value ~default:neg_infinity (num "max" j)))
 
 let metrics_of_jsonl content =
   let reg = Metrics.create () in
   let on_record j =
-    match Option.bind (Json.member "type" j) Json.to_str with
-    | Some "metric" -> restore_metric reg j
+    match Json.member "type" j with
+    | Some (Json.Str "metric") -> restore_metric reg j
     | _ -> Ok ()
   in
-  let* salvage = read_jsonl ~on_record content in
-  Ok (reg, salvage)
+  Result.map (fun salvage -> (reg, salvage)) (read_log ~on_record content)
 
 (* {2 Reading spans back (`exom trace spine`, `exom audit --spine`)} *)
 
 let span_of_json j =
-  let num key = Option.bind (Json.member key j) Json.to_float in
-  let* id = require "id" (num "id") in
-  let* parent = require "parent" (num "parent") in
-  let* tid = require "tid" (num "tid") in
-  let* name = require "name" Option.(bind (Json.member "name" j) Json.to_str) in
-  let* cat = require "cat" Option.(bind (Json.member "cat" j) Json.to_str) in
-  let args =
-    match Json.member "args" j with
-    | Some (Json.Obj kvs) ->
-      List.filter_map
-        (fun (k, v) -> Option.map (fun s -> (k, s)) (Json.to_str v))
-        kvs
-    | _ -> []
-  in
+  let open Jsonl in
+  let* id = int "id" j in
+  let* parent = int "parent" j in
+  let* tid = int "tid" j in
+  let* name = str "name" j in
+  let* cat = str "cat" j in
   Ok
-    {
-      Span.id = int_of_float id;
-      parent = int_of_float parent;
-      tid = int_of_float tid;
-      name;
-      cat;
-      ts_us = Option.value ~default:0.0 (num "ts_us");
-      dur_us = Option.value ~default:0.0 (num "dur_us");
-      args;
-    }
+    { Span.id; parent; tid; name; cat;
+      ts_us = Result.value ~default:0.0 (num "ts_us" j);
+      dur_us = Result.value ~default:0.0 (num "dur_us" j);
+      args = str_pairs "args" j }
 
 let spans_of_jsonl content =
   let acc = ref [] in
   let on_record j =
-    match Option.bind (Json.member "type" j) Json.to_str with
-    | Some "span" ->
-      let* s = span_of_json j in
-      Ok (acc := s :: !acc)
+    match Json.member "type" j with
+    | Some (Json.Str "span") ->
+      Result.map (fun s -> acc := s :: !acc) (span_of_json j)
     | _ -> Ok ()
   in
-  let* salvage = read_jsonl ~on_record content in
-  Ok (List.rev !acc, salvage)
+  Result.map
+    (fun salvage -> (List.rev !acc, salvage))
+    (read_log ~on_record content)
 
 (* A Chrome trace-event document written by {!write_chrome}: complete
    ("ph":"X") events whose [args.id]/[args.parent] carry the structural
-   ids; other event phases (metadata etc.) are skipped. *)
+   ids; other event phases (metadata etc.) are skipped.  It names no
+   schema, so its version is checked here. *)
 let spans_of_chrome content =
-  let* j = Json.parse (String.trim content) in
-  let* version =
-    require "schemaVersion"
-      Option.(bind (Json.member "schemaVersion" j) Json.to_float)
-  in
-  if int_of_float version <> schema_version then
+  let open Jsonl in
+  let* j = parse content in
+  let* version = int "schemaVersion" j in
+  if version <> schema_version then
     Error
-      (Printf.sprintf "schema version %d (expected %d)" (int_of_float version)
-         schema_version)
+      (Printf.sprintf "Chrome trace version %d (this reader understands %d)"
+         version schema_version)
   else
-    let* events =
-      require "traceEvents"
-        Option.(bind (Json.member "traceEvents" j) Json.to_list)
+    let span ev =
+      let args = Option.value ~default:Json.Null (Json.member "args" ev) in
+      let* name = str "name" ev in
+      let* cat = str "cat" ev in
+      let* tid = int "tid" ev in
+      let* id = int "id" args in
+      let* parent = int "parent" args in
+      Ok
+        (Some
+           { Span.id; parent; tid; name; cat;
+             ts_us = Result.value ~default:0.0 (num "ts" ev);
+             dur_us = Result.value ~default:0.0 (num "dur" ev);
+             (* the structural [id]/[parent] are numbers, not args *)
+             args = str_pairs "args" ev })
     in
-    let rec go acc = function
-      | [] -> Ok (List.rev acc)
-      | ev :: rest -> (
-        match Option.bind (Json.member "ph" ev) Json.to_str with
-        | Some "X" ->
-          let num key = Option.bind (Json.member key ev) Json.to_float in
-          let* name =
-            require "name" Option.(bind (Json.member "name" ev) Json.to_str)
-          in
-          let* cat =
-            require "cat" Option.(bind (Json.member "cat" ev) Json.to_str)
-          in
-          let* tid = require "tid" (num "tid") in
-          let* args = require "args" (Json.member "args" ev) in
-          let anum key = Option.bind (Json.member key args) Json.to_float in
-          let* id = require "args.id" (anum "id") in
-          let* parent = require "args.parent" (anum "parent") in
-          let user_args =
-            match args with
-            | Json.Obj kvs ->
-              List.filter_map
-                (fun (k, v) ->
-                  if k = "id" || k = "parent" then None
-                  else Option.map (fun s -> (k, s)) (Json.to_str v))
-                kvs
-            | _ -> []
-          in
-          go
-            ({
-               Span.id = int_of_float id;
-               parent = int_of_float parent;
-               tid = int_of_float tid;
-               name;
-               cat;
-               ts_us = Option.value ~default:0.0 (num "ts");
-               dur_us = Option.value ~default:0.0 (num "dur");
-               args = user_args;
-             }
-            :: acc)
-            rest
-        | _ -> go acc rest)
+    let* spans =
+      list "traceEvents"
+        (fun ev ->
+          if Json.member "ph" ev = Some (Json.Str "X") then span ev
+          else Ok None)
+        j
     in
-    go [] events
+    Ok (List.filter_map Fun.id spans)
 
-(* Sniff the container: a Chrome document is one JSON object (first
-   non-blank byte '{' and a "traceEvents" member); everything else is
-   treated as a JSONL log.  Chrome documents have no torn-tail salvage
+(* A JSONL log opens with a header line naming its schema; a Chrome
+   document names none.  Chrome documents have no torn-tail salvage
    (they are written atomically as one object). *)
 let spans_of_string content =
-  let is_chrome =
-    match Json.parse (String.trim content) with
-    | Ok j -> Json.member "traceEvents" j <> None
-    | Error _ -> false
-  in
-  if is_chrome then
-    let* spans = spans_of_chrome content in
-    Ok (spans, None)
-  else spans_of_jsonl content
+  match Jsonl.schema_of content with
+  | Some _ -> spans_of_jsonl content
+  | None -> Result.map (fun spans -> (spans, None)) (spans_of_chrome content)
 
 (* {2 Bare-registry JSONL (campaign metric files, perf snapshots)} *)
 

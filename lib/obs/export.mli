@@ -24,21 +24,14 @@ val write_chrome : string -> Obs.t -> (unit, Exom_util.Vfs.error) result
 
 val write_jsonl : string -> Obs.t -> (unit, Exom_util.Vfs.error) result
 
-(** A salvaged torn tail, located so callers can cite it: the 1-based
-    line number and the byte offset of the torn line's first byte. *)
-type salvage = { torn_line : int; torn_byte : int }
+(** {!Jsonl.salvage}, the torn tail a reader below dropped. *)
+type salvage = Jsonl.salvage = { torn_line : int; torn_byte : int }
 
-(** The non-blank lines of a JSONL document, each with its 1-based line
-    number and the byte offset of its first byte in [content].  The
-    readers here and the ledger's number their errors by these, so a
-    blank line never shifts the line an error names. *)
-val located_lines : string -> (int * int * string) list
-
-(** Rebuild the metrics registry from a JSONL log's contents; rejects
-    foreign schemas and version skew.  Span and unknown records are
-    skipped.  A torn {e final} line (interrupted writer) is dropped
-    rather than fatal; the salvage names the torn line.  A malformed line followed
-    by further records is still an error. *)
+(** Rebuild the metrics registry from a JSONL log's contents, read by
+    {!Jsonl.records}: foreign schemas and version skew are rejected, a
+    torn {e final} line (interrupted writer) is dropped and named, a
+    malformed line followed by further records is an error.  Span and
+    unknown records are skipped. *)
 val metrics_of_jsonl : string -> (Metrics.t * salvage option, string) result
 
 (** The span records of a JSONL log, in file order; same header checks
@@ -49,9 +42,11 @@ val spans_of_jsonl : string -> (Span.t list * salvage option, string) result
     by {!write_chrome}, as spans; rejects version skew. *)
 val spans_of_chrome : string -> (Span.t list, string) result
 
-(** Sniff Chrome vs JSONL and read spans either way ([exom trace
-    spine], [exom audit --spine]).  Chrome documents never salvage
-    (they are one atomically-written object). *)
+(** Read spans from either export ([exom trace spine], [exom audit
+    --spine]): a file whose first line names a schema
+    ({!Jsonl.schema_of}) is a JSONL log, anything else a Chrome
+    document.  Chrome documents never salvage (they are one
+    atomically-written object). *)
 val spans_of_string : string -> (Span.t list * salvage option, string) result
 
 (** Write just a metrics registry as a JSONL log (header + one record

@@ -235,5 +235,10 @@ let member key = function
   | _ -> None
 
 let to_float = function Num f -> Some f | _ -> None
+
+let to_int = function
+  | Num f when Float.is_integer f -> Some (int_of_float f)
+  | _ -> None
+
 let to_str = function Str s -> Some s | _ -> None
 let to_list = function Arr l -> Some l | _ -> None

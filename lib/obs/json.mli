@@ -23,5 +23,9 @@ val parse : string -> (t, string) result
 val member : string -> t -> t option
 
 val to_float : t -> float option
+
+(** An integral number; [None] for a fraction or a non-number. *)
+val to_int : t -> int option
+
 val to_str : t -> string option
 val to_list : t -> t list option

@@ -127,70 +127,26 @@ let to_json t =
 
 let to_string t = Json.to_string (to_json t) ^ "\n"
 
-let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e
-
-let require what = function
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "missing or ill-typed %s" what)
-
 let rec node_of_json j =
-  let* lane =
-    require "lane" Option.(bind (Json.member "lane" j) Json.to_float)
-  in
-  let* name = require "name" Option.(bind (Json.member "name" j) Json.to_str) in
-  let* cat = require "cat" Option.(bind (Json.member "cat" j) Json.to_str) in
+  let open Jsonl in
+  let* lane = int "lane" j in
+  let* name = str "name" j in
+  let* cat = str "cat" j in
+  let* children = list "children" node_of_json j in
   let args =
-    match Json.member "args" j with
-    | Some (Json.Obj kvs) ->
-      List.filter_map
-        (fun (k, v) -> Option.map (fun s -> (k, s)) (Json.to_str v))
-        kvs
-    | _ -> []
+    List.sort (fun (a, _) (b, _) -> compare a b) (str_pairs "args" j)
   in
-  let* kids =
-    require "children" Option.(bind (Json.member "children" j) Json.to_list)
-  in
-  let* children = nodes_of_json [] kids in
-  Ok
-    {
-      lane = int_of_float lane;
-      name;
-      cat;
-      args = List.sort (fun (a, _) (b, _) -> compare a b) args;
-      children;
-    }
-
-and nodes_of_json acc = function
-  | [] -> Ok (List.rev acc)
-  | j :: rest ->
-    let* n = node_of_json j in
-    nodes_of_json (n :: acc) rest
+  Ok { lane; name; cat; args; children }
 
 let of_string content =
-  let* j = Json.parse (String.trim content) in
-  let* schema =
-    require "schema" Option.(bind (Json.member "schema" j) Json.to_str)
-  in
-  if schema <> schema_name then
-    Error (Printf.sprintf "foreign schema %S" schema)
-  else
-    let* version =
-      require "version" Option.(bind (Json.member "version" j) Json.to_float)
-    in
-    if int_of_float version <> schema_version then
-      Error
-        (Printf.sprintf "schema version %d (expected %d)"
-           (int_of_float version) schema_version)
-    else
-      let* lanes_s =
-        require "lanes" Option.(bind (Json.member "lanes" j) Json.to_str)
-      in
-      let* lanes = require "known lanes" (lanes_of_string lanes_s) in
-      let* roots =
-        require "roots" Option.(bind (Json.member "roots" j) Json.to_list)
-      in
-      let* roots = nodes_of_json [] roots in
-      Ok { lanes; roots }
+  let open Jsonl in
+  let* j = document ~schema:schema_name ~versions:[ schema_version ] content in
+  let* lanes_s = str "lanes" j in
+  match lanes_of_string lanes_s with
+  | None -> Error (Printf.sprintf "unknown lanes %S" lanes_s)
+  | Some lanes ->
+    let* roots = list "roots" node_of_json j in
+    Ok { lanes; roots }
 
 (* {2 Human rendering} *)
 

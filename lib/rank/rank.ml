@@ -1,4 +1,3 @@
-module Json = Exom_obs.Json
 
 (* The mined prior.  Only the bucket statistics the prior consumes are
    kept: (bucket key -> located rate) for the size and density
@@ -13,65 +12,32 @@ type model = {
   m_by_density : (string * float) list;
 }
 
-let ( let* ) = Result.bind
-
-let str_field name j =
-  match Json.member name j with
-  | Some (Json.Str s) -> Ok s
-  | _ -> Error (Printf.sprintf "missing string field %S" name)
-
-let int_field name j =
-  match Option.bind (Json.member name j) Json.to_float with
-  | Some f -> Ok (int_of_float f)
-  | None -> Error (Printf.sprintf "missing numeric field %S" name)
-
 (* One bucket -> (key, located rate); an empty bucket contributes no
    rate (filtered by the caller). *)
 let bucket_rate j =
-  let* key = str_field "key" j in
-  let* n = int_field "n" j in
-  let* located = int_field "located" j in
+  let open Exom_obs.Jsonl in
+  let* key = str "key" j in
+  let* n = int "n" j in
+  let* located = int "located" j in
   if n < 0 || located < 0 || located > n then
     Error (Printf.sprintf "bucket %S: inconsistent counts" key)
   else if n = 0 then Ok None
   else Ok (Some (key, float_of_int located /. float_of_int n))
 
-let buckets_field name j =
-  match Json.member name j with
-  | Some (Json.Arr l) ->
-    List.fold_left
-      (fun acc bj ->
-        let* acc = acc in
-        let* b = bucket_rate bj in
-        Ok (match b with None -> acc | Some b -> b :: acc))
-      (Ok []) l
-    |> Result.map List.rev
-  | _ -> Error (Printf.sprintf "missing bucket array %S" name)
-
 let model_of_string s =
-  let* j = Json.parse s in
-  let* schema = str_field "schema" j in
-  let* version = int_field "version" j in
-  if schema <> schema_name then
-    Error (Printf.sprintf "foreign schema %S (expected %S)" schema schema_name)
-  else if version <> schema_version then
-    Error
-      (Printf.sprintf "unsupported %s version %d (this reader understands %d)"
-         schema_name version schema_version)
-  else
-    let* m_by_size = buckets_field "by_size" j in
-    let* m_by_density = buckets_field "by_density" j in
-    Ok { m_by_size; m_by_density }
+  let open Exom_obs.Jsonl in
+  let buckets name j =
+    Result.map (List.filter_map Fun.id) (list name bucket_rate j)
+  in
+  let* j = document ~schema:schema_name ~versions:[ schema_version ] s in
+  let* m_by_size = buckets "by_size" j in
+  let* m_by_density = buckets "by_density" j in
+  Ok { m_by_size; m_by_density }
 
 let load_model path =
-  match
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
-  | exception Sys_error e -> Error e
-  | content -> model_of_string content
+  match Exom_util.Vfs.read_file path with
+  | Ok content -> model_of_string content
+  | Error e -> Error e.Exom_util.Vfs.ve_msg
 
 type config = {
   alpha : float;

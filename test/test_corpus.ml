@@ -14,6 +14,7 @@ module Campaign = Exom_corpus.Campaign
 module Mine = Exom_corpus.Mine
 module Metrics = Exom_obs.Metrics
 module Export = Exom_obs.Export
+module Json = Exom_obs.Json
 
 let temp_dir =
   let n = ref 0 in
@@ -188,6 +189,57 @@ let test_manifest_deterministic () =
       (Campaign.manifest_to_string m1)
       (Campaign.manifest_to_string m)
 
+let contains hay needle =
+  let nh = String.length hay and nn = String.length needle in
+  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
+  go 0
+
+(* [j] with member [key] replaced by [v]. *)
+let set key v = function
+  | Json.Obj kvs ->
+    Json.Obj (List.map (fun (k, x) -> if k = key then (k, v) else (k, x)) kvs)
+  | j -> j
+
+(* Corrupt integers are refused, never truncated or dropped: a dropped
+   root sid would run the triple against the wrong ground truth. *)
+let test_manifest_corrupt_rejected () =
+  let triple =
+    {
+      Campaign.t_id = "t00000"; t_seed = 0; t_family = "small";
+      t_class = Seeder.Guard_strengthen; t_root_line = 3; t_root_sids = [ 4 ];
+      t_stmts = 5; t_predicates = 1; t_procs = 1; t_loc = 6;
+      t_input = [ 1; 2 ]; t_correct = "c"; t_faulty = "f";
+    }
+  in
+  let good =
+    Campaign.manifest_to_string
+      { Campaign.m_seed = 5; m_count = 1; m_family = "mixed"; m_attempts = 1;
+        m_triples = [ triple ] }
+  in
+  (match Campaign.manifest_of_string good with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail e);
+  let doc = Result.get_ok (Json.parse good) in
+  let in_triple key v =
+    match Json.member "triples" doc with
+    | Some (Json.Arr [ t ]) -> set "triples" (Json.Arr [ set key v t ]) doc
+    | _ -> Alcotest.fail "one triple expected"
+  in
+  List.iter
+    (fun (what, field, j) ->
+      match Campaign.manifest_of_string (Json.to_string j) with
+      | Ok _ -> Alcotest.failf "%s accepted" what
+      | Error e ->
+        Alcotest.(check bool) (what ^ " names " ^ field ^ ": " ^ e) true
+          (contains e field))
+    [
+      ( "a string root sid", "root_sids",
+        in_triple "root_sids" (Json.Arr [ Json.Str "bogus" ]) );
+      ( "a string input element", "input",
+        in_triple "input" (Json.Arr [ Json.Num 1.0; Json.Str "x" ]) );
+      ("a fractional version", "version", set "version" (Json.Num 1.9) doc);
+    ]
+
 let test_manifest_triples_validate () =
   let m = gen_manifest ~count:4 () in
   List.iter
@@ -347,7 +399,52 @@ let test_outcomes_strict () =
         (String.concat "\n" (List.filteri (fun i _ -> i < 3) lines)
         ^ "\n{\"id\":\"t00002\",\"class\":");
       reject "a missing header" ~line:1
-        (String.concat "\n" (List.tl lines)))
+        (String.concat "\n" (List.tl lines));
+      reject "a non-integer count" ~line:2
+        (String.concat "\n"
+           (List.mapi
+              (fun i l ->
+                if i <> 1 then l
+                else
+                  Json.to_string
+                    (set "counts"
+                       (Json.Obj [ ("iterations", Json.Num 2.5) ])
+                       (Result.get_ok (Json.parse l))))
+              lines)))
+
+(* A resume of a complete campaign replays every triple from its
+   journal and replaces no file: a hard link taken before the resume
+   still shares each journal's inode after it, and every artifact
+   keeps its bytes. *)
+let test_campaign_resume_rewrites_nothing () =
+  let manifest = gen_manifest () in
+  with_temp_dir (fun dir ->
+      ignore (Campaign.run ~jobs:2 ~dir ~manifest ());
+      let journals = Filename.concat dir "journals" in
+      let pins = Filename.concat dir "pins" in
+      Unix.mkdir pins 0o755;
+      let names = Array.to_list (Sys.readdir journals) in
+      Alcotest.(check bool) "the campaign journaled its triples" true
+        (names <> []);
+      let artifacts () =
+        List.map (fun f -> read_file (Filename.concat journals f)) names
+        @ [ read_file (outcomes_file dir);
+            read_file (Campaign.campaign_metrics dir) ]
+      in
+      let before = artifacts () in
+      List.iter
+        (fun f ->
+          Unix.link (Filename.concat journals f) (Filename.concat pins f))
+        names;
+      ignore (Campaign.run ~jobs:2 ~resume:true ~dir ~manifest ());
+      List.iter
+        (fun f ->
+          Alcotest.(check int) (f ^ " still shares its pinned inode") 2
+            (Unix.stat (Filename.concat journals f)).Unix.st_nlink)
+        names;
+      Alcotest.(check (list string))
+        "journals, outcomes.jsonl and metrics.jsonl byte-identical" before
+        (artifacts ()))
 
 let test_campaign_located_rate () =
   let manifest = gen_manifest ~count:8 () in
@@ -509,6 +606,8 @@ let () =
             test_manifest_deterministic;
           Alcotest.test_case "triples validate" `Quick
             test_manifest_triples_validate;
+          Alcotest.test_case "corrupt manifest rejected" `Quick
+            test_manifest_corrupt_rejected;
         ] );
       ( "campaign",
         [
@@ -523,6 +622,8 @@ let () =
             test_campaign_resume_foreign;
           Alcotest.test_case "outcomes reader is strict" `Slow
             test_outcomes_strict;
+          Alcotest.test_case "resume of a complete campaign rewrites nothing"
+            `Slow test_campaign_resume_rewrites_nothing;
         ] );
       ( "mine",
         [ Alcotest.test_case "roundtrip" `Slow test_mine_roundtrip ] );

@@ -271,6 +271,12 @@ let test_checkpoint_events () =
     Alcotest.(check bool) "slot 3 re-serializes as 0" true
       (List.mem (line 0) written)
 
+(* The torn line a salvage names, as (line, byte). *)
+let torn_at r =
+  Option.map
+    (fun { Exom_obs.Jsonl.torn_line; torn_byte } -> (torn_line, torn_byte))
+    r.Ledger.r_torn
+
 let test_recover_torn_tail () =
   let ledger, _ = Lazy.force gzip_ledger in
   let s = Ledger.to_string ledger in
@@ -281,7 +287,7 @@ let test_recover_torn_tail () =
   | Ok r ->
     Alcotest.(check int) "all events salvaged" n_events
       (List.length r.Ledger.r_events);
-    Alcotest.(check bool) "not truncated" false r.Ledger.r_truncated);
+    Alcotest.(check (option (pair int int))) "not truncated" None (torn_at r));
   (* a torn final line — the crash left half a JSON object — is dropped,
      everything before it salvaged *)
   let torn = String.sub s 0 (String.length s - 7) in
@@ -290,7 +296,10 @@ let test_recover_torn_tail () =
   | Ok r ->
     Alcotest.(check int) "all but the torn line" (n_events - 1)
       (List.length r.Ledger.r_events);
-    Alcotest.(check bool) "truncation reported" true r.Ledger.r_truncated);
+    (* the header is line 1, so the last event is on line n_events + 1 *)
+    Alcotest.(check (option (pair int int))) "truncation reported"
+      (Some (n_events + 1, String.rindex torn '\n' + 1))
+      (torn_at r));
   (* strict of_string still refuses the same bytes *)
   match Ledger.of_string torn with
   | Ok _ -> Alcotest.fail "strict reader accepted a torn ledger"
@@ -356,8 +365,8 @@ let test_journal_and_resume_marker () =
           (List.length (Ledger.events ledger))
           (List.length r.Ledger.r_events);
         Alcotest.(check int) "marker counted" 1 r.Ledger.r_markers;
-        Alcotest.(check bool) "marker is not an event truncation" false
-          r.Ledger.r_truncated);
+        Alcotest.(check (option (pair int int)))
+          "marker is not an event truncation" None (torn_at r));
       (* the journal minus its marker line is the canonical form *)
       let journal_lines =
         String.split_on_char '\n' (read_file path)
