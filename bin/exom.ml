@@ -45,7 +45,6 @@ module Suite = Exom_bench.Suite
 module Perf = Exom_bench.Perf
 module Ledger = Exom_ledger.Ledger
 module Lexplain = Exom_ledger.Explain
-module Rank = Exom_rank.Rank
 module Vfs = Exom_util.Vfs
 module Jsonl = Exom_obs.Jsonl
 
@@ -310,7 +309,7 @@ let store_arg =
 
 let locate_cmd =
   let action file correct_file input text root_line chaos_seed jobs store_dir
-      trace_out metrics_out ledger_out resume no_rank rank_model =
+      trace_out metrics_out ledger_out resume no_rank =
     let* faulty = compile_file file in
     let* correct = compile_file correct_file in
     let* root_sids =
@@ -343,27 +342,7 @@ let locate_cmd =
         ~input ()
       |> Result.map_error Pipeline.setup_error_message
     in
-    (* a bad model file degrades to the static verification order
-       with a diagnostic — it must never kill the localization *)
-    let config =
-      if no_rank then { Demand.default_config with ranking = None }
-      else
-        match rank_model with
-        | None -> Demand.default_config
-        | Some path -> (
-          match Rank.load_model path with
-          | Ok model ->
-            {
-              Demand.default_config with
-              ranking = Some { Rank.default_config with Rank.model = Some model };
-            }
-          | Error e ->
-            Printf.eprintf
-              "rank model %s: %s; falling back to the static verification \
-               order\n"
-              path e;
-            { Demand.default_config with ranking = None })
-    in
+    let config = { Demand.default_config with ranking = not no_rank } in
     let report, resumed =
       Pipeline.locate ~config ~pool ?journal:ledger_out ?resume:resume_plan
         prepared ~root_sids
@@ -435,19 +414,8 @@ let locate_cmd =
       & info [ "no-rank" ]
           ~doc:
             "Disable evidence-driven verification ordering: candidates \
-             verify in the paper's static order with the static guard \
-             knobs (the control for ranked-vs-static comparisons)")
-  in
-  let rank_model_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "rank-model" ] ~docv:"FILE"
-          ~doc:
-            "Seed the candidate ranking with a mined prior table \
-             ($(b,exom corpus mine --json)).  A corrupt, truncated or \
-             version-mismatched file is rejected with a diagnostic and \
-             the run falls back to the static verification order")
+             verify in the paper's static order with the static breaker \
+             threshold (the control for ranked-vs-static comparisons)")
   in
   Cmd.v
     (Cmd.info "locate"
@@ -455,7 +423,7 @@ let locate_cmd =
     Term.(
       const action $ file_arg $ correct_arg $ input_arg $ text_arg $ root_arg
       $ chaos_seed_arg $ jobs_arg $ store_arg $ trace_out_arg $ metrics_out_arg
-      $ ledger_out_arg $ resume_arg $ no_rank_arg $ rank_model_arg)
+      $ ledger_out_arg $ resume_arg $ no_rank_arg)
 
 (* recover *)
 
@@ -719,11 +687,8 @@ let regions_cmd =
 
 let bench_suite jobs corpus_count no_rank metrics_out =
   let jobs = match jobs with Some j -> j | None -> Pool.default_jobs () in
-  let config =
-    if no_rank then Some { Demand.default_config with Demand.ranking = None }
-    else None
-  in
-  let s = Perf.run_suite ?config ~jobs ?corpus_count () in
+  let config = { Demand.default_config with Demand.ranking = not no_rank } in
+  let s = Perf.run_suite ~config ~jobs ?corpus_count () in
   Exom_bench.Tables.print s.Perf.results;
   let v = Metrics.counter_value s.Perf.metrics in
   Printf.printf
@@ -747,53 +712,26 @@ let bench_suite jobs corpus_count no_rank metrics_out =
     metrics_out;
   0
 
-(* --export materializes one fault as files, so [exom locate] or a
-   script can reproduce it without linking the suite; fixtures.json is
-   the machine-readable index of those files. *)
-let fixtures_manifest entries =
-  Json.to_string
-    (Json.Obj
-       [
-         ("schema", Json.Str "exom.fixtures");
-         ("version", Json.Num 1.0);
-         ( "fixtures",
-           Json.Arr
-             (List.map
-                (fun (name, fid, input, root_line) ->
-                  Json.Obj
-                    [
-                      ("name", Json.Str name);
-                      ("fid", Json.Str fid);
-                      ("faulty", Json.Str "faulty.mc");
-                      ("correct", Json.Str "correct.mc");
-                      ( "input",
-                        Json.Arr
-                          (List.map
-                             (fun i -> Json.Num (float_of_int i))
-                             input) );
-                      ("root_line", Json.Num (float_of_int root_line));
-                    ])
-                entries) );
-       ])
-  ^ "\n"
-
-let bench_export name fid dir bench fault =
+(* A fault as four files: the sources, the failing input and the
+   ground-truth root line ([bench --export], [corpus seed -o]). *)
+let write_fault_files dir ~faulty ~correct ~input ~root_line =
   (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-  write_file (Filename.concat dir "faulty.mc") (B.faulty_source bench fault);
-  write_file (Filename.concat dir "correct.mc") bench.B.source;
+  write_file (Filename.concat dir "faulty.mc") faulty;
+  write_file (Filename.concat dir "correct.mc") correct;
   write_file
     (Filename.concat dir "input.txt")
-    (String.concat " " (List.map string_of_int fault.B.failing_input) ^ "\n");
+    (String.concat " " (List.map string_of_int input) ^ "\n");
   write_file
     (Filename.concat dir "root_line.txt")
-    (string_of_int (B.fault_line bench fault) ^ "\n");
-  write_file
-    (Filename.concat dir "fixtures.json")
-    (fixtures_manifest
-       [ (name, fid, fault.B.failing_input, B.fault_line bench fault) ]);
+    (string_of_int root_line ^ "\n")
+
+let bench_export name fid dir bench fault =
+  write_fault_files dir
+    ~faulty:(B.faulty_source bench fault)
+    ~correct:bench.B.source ~input:fault.B.failing_input
+    ~root_line:(B.fault_line bench fault);
   Printf.printf
-    "%s %s exported to %s (faulty.mc correct.mc input.txt root_line.txt \
-     fixtures.json)\n"
+    "%s %s exported to %s (faulty.mc correct.mc input.txt root_line.txt)\n"
     name fid dir;
   0
 
@@ -821,10 +759,9 @@ let bench_one name fid jobs store_dir trace_out metrics_out ledger_out export
         in
         let ledger = make_ledger ledger_out in
         let config =
-          if no_rank then Some { Demand.default_config with Demand.ranking = None }
-          else None
+          { Demand.default_config with Demand.ranking = not no_rank }
         in
-        let r = Runner.run_fault ~obs ~pool ?store ?ledger ?config bench fault in
+        let r = Runner.run_fault ~obs ~pool ?store ?ledger ~config bench fault in
         write_obs obs ~trace_out ~metrics_out;
         write_ledger ledger ~ledger_out;
         Printf.printf "%s %s (%d job(s)): %s\n" name fid (Pool.jobs pool)
@@ -908,8 +845,11 @@ let bench_cmd =
           ~doc:
             "Instead of running the fault, write its materials to DIR: \
              $(b,faulty.mc), $(b,correct.mc), $(b,input.txt) (failing \
-             input as integers) and $(b,root_line.txt) — the files \
-             $(b,exom locate) needs to reproduce it")
+             input as integers) and $(b,root_line.txt), the arguments \
+             of an $(b,exom locate) run.  That run is not the same \
+             localization: $(b,locate) profiles values on the failing \
+             input only, while $(b,bench) profiles the fault's test \
+             inputs, so their searches can differ")
   in
   let corpus_arg =
     Arg.(
@@ -1209,15 +1149,9 @@ let corpus_report_cmd =
     Term.(const action $ path_arg $ floor_arg)
 
 let corpus_mine_cmd =
-  let action path out =
+  let action path =
     with_corpus_rows path (fun rows ->
-        let table = Mine.mine rows in
-        (match out with
-        | Some o ->
-          write_file o (Mine.table_to_string table);
-          Printf.eprintf "feature table -> %s\n" o
-        | None -> ());
-        print_string (Mine.render table);
+        print_string (Mine.render (Mine.mine rows));
         0)
   in
   let path_arg =
@@ -1226,20 +1160,13 @@ let corpus_mine_cmd =
       & pos 0 (some file) None
       & info [] ~docv:"PATH" ~doc:"Campaign directory or outcomes.jsonl")
   in
-  let out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "o"; "out" ] ~docv:"FILE"
-          ~doc:"Write the feature table as JSON to FILE")
-  in
   Cmd.v
     (Cmd.info "mine"
        ~doc:
          "Mine campaign outcomes into feature tables (located rate, \
           iterations and verifications by fault class, family, program \
           size, predicate density)")
-    Term.(const action $ path_arg $ out_arg)
+    Term.(const action $ path_arg)
 
 let corpus_seed_cmd =
   let action file seed cls line input out =
@@ -1298,23 +1225,8 @@ let corpus_seed_cmd =
       let faulty_src = Exom_lang.Pretty.program_to_string faulty in
       (match out with
       | Some dir ->
-        (try Unix.mkdir dir 0o755
-         with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-        write_file (Filename.concat dir "faulty.mc") faulty_src;
-        write_file (Filename.concat dir "correct.mc") source;
-        write_file
-          (Filename.concat dir "input.txt")
-          (String.concat " " (List.map string_of_int input) ^ "\n");
-        write_file
-          (Filename.concat dir "root_line.txt")
-          (string_of_int line ^ "\n");
-        write_file
-          (Filename.concat dir "fixtures.json")
-          (fixtures_manifest
-             [
-               ( Filename.remove_extension (Filename.basename file),
-                 Seeder.class_to_string c, input, line );
-             ])
+        write_fault_files dir ~faulty:faulty_src ~correct:source ~input
+          ~root_line:line
       | None -> print_string faulty_src);
       Printf.eprintf
         "seeded %s at line %d (sid %d), failing input: %s\n"
@@ -1345,8 +1257,8 @@ let corpus_seed_cmd =
       & opt (some string) None
       & info [ "o"; "out" ] ~docv:"DIR"
           ~doc:
-            "Write faulty.mc, correct.mc, input.txt, root_line.txt and \
-             fixtures.json to DIR (default: faulty source on stdout)")
+            "Write faulty.mc, correct.mc, input.txt and root_line.txt to \
+             DIR (default: faulty source on stdout)")
   in
   Cmd.v
     (Cmd.info "seed"
@@ -1478,7 +1390,10 @@ let audit_cmd =
       @ if ledger then [ Audit.Ledger_leg ] else []
     in
     let legs = if legs = [] then None else Some legs in
-    match (Audit.load run_a, Audit.load run_b) with
+    let load path =
+      Result.map_error (Printf.sprintf "%s: %s" path) (Audit.load path)
+    in
+    match (load run_a, load run_b) with
     | Error e, _ | _, Error e ->
       prerr_endline e;
       1

@@ -31,13 +31,12 @@ type run = {
   events : Ledger.event list option;
   resumes : Ledger.resume_info list;
       (* resume-marker payloads when the file is a journal *)
-  torn : Jsonl.salvage option;  (* obs JSONL torn tail, located *)
-  ledger_torn : bool;  (* journal torn tail *)
+  torn : Jsonl.salvage option;  (* the journal's or obs log's torn tail *)
 }
 
 let empty path =
   { path; spans = None; metrics = None; events = None; resumes = [];
-    torn = None; ledger_torn = false }
+    torn = None }
 
 (* Sniff: ledger header -> tolerant journal read (markers kept); any
    other file -> its spans, and its metrics when it is an obs JSONL log
@@ -53,7 +52,7 @@ let load path =
       { (empty path) with
         events = Some r.Ledger.r_events;
         resumes = r.Ledger.r_resumes;
-        ledger_torn = r.Ledger.r_torn <> None;
+        torn = r.Ledger.r_torn;
       }
   else
     let* spans, torn = Export.spans_of_string content in
@@ -155,7 +154,7 @@ let clean t =
 
 let render_lineage b run =
   let pr fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  if run.resumes <> [] || run.ledger_torn || run.torn <> None then begin
+  if run.resumes <> [] || run.torn <> None then begin
     pr "  %s:\n" run.path;
     List.iteri
       (fun i (g : Ledger.resume_info) ->
@@ -166,11 +165,11 @@ let render_lineage b run =
              " (predecessor's torn tail dropped)"
            else ""))
       run.resumes;
-    if run.ledger_torn then pr "    journal tail torn and dropped\n";
     match run.torn with
     | Some { Jsonl.torn_line; torn_byte } ->
-      pr "    obs log torn at line %d (byte %d); tail dropped\n" torn_line
-        torn_byte
+      pr "    %s torn at line %d (byte %d); tail dropped\n"
+        (if run.events = None then "obs log" else "journal")
+        torn_line torn_byte
     | None -> ()
   end
 
@@ -179,8 +178,8 @@ let render t =
   let pr fmt = Printf.ksprintf (Buffer.add_string b) fmt in
   pr "=== Audit: %s vs %s ===\n" t.a.path t.b.path;
   if
-    t.a.resumes <> [] || t.b.resumes <> [] || t.a.ledger_torn
-    || t.b.ledger_torn || t.a.torn <> None || t.b.torn <> None
+    t.a.resumes <> [] || t.b.resumes <> [] || t.a.torn <> None
+    || t.b.torn <> None
   then begin
     pr "\n--- Lineage ---\n";
     render_lineage b t.a;

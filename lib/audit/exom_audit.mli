@@ -16,8 +16,7 @@ type run = {
   resumes : Exom_ledger.Ledger.resume_info list;
       (** resume-marker payloads when the file is a journal *)
   torn : Exom_obs.Jsonl.salvage option;
-      (** obs JSONL torn tail, located for citation *)
-  ledger_torn : bool;  (** journal torn tail *)
+      (** the journal's or obs log's torn tail, located for citation *)
 }
 
 (** Load and sniff one artifact.  Ledgers and journals are read

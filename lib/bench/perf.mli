@@ -32,7 +32,7 @@ type t = {
     [corpus_count], also run the seed-1 generated corpus of that many
     triples.  [jobs] sizes the verification pool (default
     [EXOM_JOBS]).  [config] applies to every pass; with
-    [{ Demand.default_config with ranking = None }] it measures the
+    [{ Demand.default_config with ranking = false }] it measures the
     static verification order. *)
 val run_suite :
   ?config:Exom_core.Demand.config ->

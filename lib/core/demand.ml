@@ -1,4 +1,3 @@
-module Ast = Exom_lang.Ast
 module Confidence = Exom_conf.Confidence
 module Ledger = Exom_ledger.Ledger
 module Obs = Exom_obs.Obs
@@ -56,26 +55,28 @@ type report = {
 
 type config = {
   max_iterations : int;
-  max_related_targets : int;  (* bound on the "foreach t: p in PD(t)" loop *)
-  max_instances_per_pred : int;
-      (* verifications per static predicate in one PD(u): hot predicates
-         can have hundreds of qualifying instances; the latest K carry
-         the freshest state (and K must cover the fault-relevant one —
-         a single "latest" misses faults on earlier iterations) *)
   verify_mode : Verify.mode;  (* edge approximation (paper) or safe paths *)
-  ranking : Rank.config option;
-      (* evidence-driven candidate ordering + early exit; [None] is the
-         paper's static order (and static guard knobs) *)
+  ranking : bool;
+      (* evidence-driven candidate ordering + early exit; [false] is the
+         paper's static order (and the static breaker threshold) *)
 }
 
 let default_config =
-  { max_iterations = 40; max_related_targets = 64;
-    max_instances_per_pred = 4; verify_mode = Verify.Edge_approximation;
-    ranking = Some Rank.default_config }
+  { max_iterations = 40; verify_mode = Verify.Edge_approximation;
+    ranking = true }
 
-(* Thin PD candidates to the latest [per_sid] instances of each static
-   predicate. *)
-let dedup_by_sid ~per_sid trace candidates =
+(* Bound on the "foreach t: p in PD(t)" loop. *)
+let max_related_targets = 64
+
+(* Verifications per static predicate in one PD(u): hot predicates can
+   have hundreds of qualifying instances; the latest K carry the
+   freshest state (and K must cover the fault-relevant one — a single
+   "latest" misses faults on earlier iterations). *)
+let max_instances_per_pred = 4
+
+(* Thin PD candidates to the latest [max_instances_per_pred] instances
+   of each static predicate. *)
+let dedup_by_sid trace candidates =
   let by_sid = Hashtbl.create 8 in
   List.iter
     (fun p ->
@@ -86,7 +87,8 @@ let dedup_by_sid ~per_sid trace candidates =
   Hashtbl.fold
     (fun _ ps acc ->
       let latest_first = List.sort (fun a b -> compare b a) ps in
-      List.filteri (fun i _ -> i < per_sid) latest_first @ acc)
+      List.filteri (fun i _ -> i < max_instances_per_pred) latest_first
+      @ acc)
     by_sid []
   |> List.sort compare
 
@@ -125,23 +127,12 @@ let locate ?(config = default_config) ?pool (s : Session.t) ~oracle
              })
            (Prune.entries ps))
   in
-  (* The scorer: seeded with the program's static features (so a mined
-     model can select its prior bucket), then fed every verdict a batch
-     returns.  Returned verdicts are identical whether they came from a
-     live run, the store, or a resume replay, so scores — and with them
-     ordering and early-exit decisions — are invariant across -j,
-     warm/cold stores, and kill/resume. *)
-  let rank =
-    Option.map
-      (fun rc ->
-        let preds = ref 0 in
-        Ast.iter_program
-          (fun st -> if Ast.is_predicate st then incr preds)
-          s.Session.prog;
-        Rank.create ~stmts:(Ast.stmt_count s.Session.prog) ~predicates:!preds
-          rc)
-      config.ranking
-  in
+  (* The scorer, fed every verdict a batch returns.  Returned verdicts
+     are identical whether they came from a live run, the store, or a
+     resume replay, so scores — and with them ordering and early-exit
+     decisions — are invariant across -j, warm/cold stores, and
+     kill/resume. *)
+  let rank = if config.ranking then Some (Rank.create ()) else None in
   let verify_batch pairs =
     let rs = Verify.verify_batch ~mode:config.verify_mode ?pool s pairs in
     (match rank with
@@ -235,7 +226,7 @@ let locate ?(config = default_config) ?pool (s : Session.t) ~oracle
     let pd =
       Relevant.pd s.Session.rel u
       |> List.filter (fun p -> not (Slice.mem u_slice p))
-      |> dedup_by_sid ~per_sid:config.max_instances_per_pred trace
+      |> dedup_by_sid trace
     in
     (match ledger with
     | Some l ->
@@ -260,7 +251,7 @@ let locate ?(config = default_config) ?pool (s : Session.t) ~oracle
         (match (ledger, decisions) with
         | Some l, _ :: _ ->
           Ledger.rank l ~iter:(!iterations + 1) ~u:(Session.linst s u)
-            ~prior:(Rank.prior r)
+            ~prior:Rank.prior
             ~decisions:
               (List.map
                  (fun d ->
@@ -324,7 +315,7 @@ let locate ?(config = default_config) ?pool (s : Session.t) ~oracle
         let selected = ref [] in
         List.iter
           (fun t ->
-            if !related < config.max_related_targets then begin
+            if !related < max_related_targets then begin
               let pd_t = Relevant.pd s.Session.rel t in
               if List.mem p pd_t then begin
                 incr related;

@@ -31,8 +31,8 @@ type report = {
           breaker trips and skips, contained exceptions.
           [completed + aborted = verifications]. *)
   store : Exom_sched.Store.stats;
-      (** verdict-store counters: memory/disk hits, misses, evictions,
-          corrupted entries rejected, writes *)
+      (** verdict-store counters: memory/disk hits, misses, corrupted
+          entries rejected, writes *)
   failures : (int * Guard.verify_failure) list;
       (** journal of every degraded verification, oldest first: (static
           predicate sid, failure) *)
@@ -44,26 +44,24 @@ type report = {
 
 type config = {
   max_iterations : int;
-  max_related_targets : int;
-      (** bound on the "forall t with p in PD(t)" verification loop *)
-  max_instances_per_pred : int;
-      (** verifications per static predicate in one PD(u) (latest K) *)
   verify_mode : Verify.mode;
       (** edge approximation (the paper's default) or safe path mode *)
-  ranking : Exom_rank.Rank.config option;
-      (** evidence-driven verification ordering: each expansion's
-          candidates verify in descending posterior-yield order with an
-          early-exit policy cutting low-yield instance tails, and the
-          guard's per-predicate breaker thresholds are re-tuned from the
-          failure journal between batches.  Ordering, cuts and scores are
+  ranking : bool;
+      (** evidence-driven verification ordering ({!Exom_rank.Rank}):
+          each expansion's candidates verify in descending
+          posterior-yield order with an early-exit policy cutting
+          low-yield instance tails, and the guard's per-predicate
+          breaker thresholds are re-tuned from the failure journal
+          between batches.  Ordering, cuts and scores are
           byte-deterministic (recorded as ledger [Rank] events) and
           invariant across [-j], warm/cold stores and kill/resume.
-          [None] restores the paper's static order and the static
+          [false] restores the paper's static order and the static
           breaker threshold. *)
 }
 
-(** Ranked by default ([ranking = Some Exom_rank.Rank.default_config],
-    no mined prior). *)
+(** 40 iterations, edge approximation, ranked.  Each expansion
+    verifies at most the latest 4 instances of each static predicate
+    in PD(u), and each verified edge at most 64 related targets. *)
 val default_config : config
 
 (** [locate s ~oracle ~root_sids]: run the procedure; [root_sids] is the

@@ -65,18 +65,22 @@ let shard_stats sh = sh.sh_stats
 
 type breaker = { mutable consecutive : int; mutable opened : bool }
 
+(* Consecutive aborts of one static predicate that open its breaker;
+   [auto_tune] lowers it to [tuned_threshold] for convicted predicates. *)
+let default_threshold = 8
+let tuned_threshold = 2
+
 type t = {
-  breaker_threshold : int;
   breakers : (int, breaker) Hashtbl.t;
-  tuned : (int, int) Hashtbl.t;
-      (* per-sid breaker thresholds derived from the failure journal
-         (see [auto_tune]) *)
+  convicted : (int, unit) Hashtbl.t;
+      (* sids whose threshold [auto_tune] lowered, from the failure
+         journal *)
   root : shard;  (* the session's merged accounting *)
 }
 
-let create ?(breaker_threshold = 8) () =
-  { breaker_threshold; breakers = Hashtbl.create 16;
-    tuned = Hashtbl.create 16; root = new_shard () }
+let create () =
+  { breakers = Hashtbl.create 16;
+    convicted = Hashtbl.create 16; root = new_shard () }
 
 let stats t = t.root.sh_stats
 let failures t = List.rev t.root.sh_journal
@@ -103,9 +107,10 @@ let absorb t sh =
    checkpoint-restored).
 
    Two deterministic failures of one sid mean a third identical attempt
-   cannot succeed either: its breaker threshold drops to 2.  Call
-   between batches, on the coordinator; recomputing from scratch keeps
-   the table a pure function of the journal. *)
+   cannot succeed either: its breaker threshold drops to
+   [tuned_threshold].  Call between batches, on the coordinator;
+   recomputing from scratch keeps the table a pure function of the
+   journal. *)
 let auto_tune t =
   let counts = Hashtbl.create 8 in
   List.iter
@@ -116,14 +121,13 @@ let auto_tune t =
           (1 + Option.value ~default:0 (Hashtbl.find_opt counts sid))
       | Breaker_open _ -> ())
     (List.rev t.root.sh_journal);
-  Hashtbl.reset t.tuned;
+  Hashtbl.reset t.convicted;
   Hashtbl.iter
-    (fun sid n ->
-      if n >= 2 then Hashtbl.replace t.tuned sid (min t.breaker_threshold 2))
+    (fun sid n -> if n >= 2 then Hashtbl.replace t.convicted sid ())
     counts
 
-let breaker_threshold t sid =
-  Option.value (Hashtbl.find_opt t.tuned sid) ~default:t.breaker_threshold
+let threshold t sid =
+  if Hashtbl.mem t.convicted sid then tuned_threshold else default_threshold
 
 let breaker_for t sid =
   match Hashtbl.find_opt t.breakers sid with
@@ -177,7 +181,7 @@ let restore t ~stats:s ~failures:fs ~breakers =
 let record_abort t sh sid =
   let b = breaker_for t sid in
   b.consecutive <- b.consecutive + 1;
-  if (not b.opened) && b.consecutive >= breaker_threshold t sid then begin
+  if (not b.opened) && b.consecutive >= threshold t sid then begin
     b.opened <- true;
     sh.sh_stats.breaker_trips <- sh.sh_stats.breaker_trips + 1
   end

@@ -8,7 +8,7 @@
     - {b one budget}: each switched run executes once, under the
       session's step budget (the paper's timer); a [Budget_exhausted]
       run, like a crashed one, fails its verification;
-    - {b circuit breaker}: after [breaker_threshold] {e consecutive}
+    - {b circuit breaker}: after 8 {e consecutive}
       aborted switched runs of one static predicate in a session, that
       predicate is no longer re-verified — its verifications are skipped
       outright (ruled NOT_ID) instead of burning budget on a predicate
@@ -75,9 +75,7 @@ val absorb : t -> shard -> unit
     table structure. *)
 val prepare : t -> sids:int list -> unit
 
-(** [breaker_threshold] (default 8) is the number of consecutive aborts
-    of one static predicate that open its breaker. *)
-val create : ?breaker_threshold:int -> unit -> t
+val create : unit -> t
 
 val stats : t -> stats
 
@@ -89,8 +87,8 @@ val breaker_open : t -> sid:int -> bool
 
 (** {2 Ledger-tuned breaker}
 
-    The breaker threshold is a static session-wide default; [auto_tune]
-    lowers it per predicate from the failure journal.  Only the failures
+    The breaker threshold is 8 consecutive aborts; [auto_tune] lowers
+    it per predicate from the failure journal.  Only the failures
     of a run — [Run_crashed], [Run_budget_exhausted], [Captured] — feed
     the rule, never [Breaker_open] skips; every one is deterministic in
     (program, input, budget, chaos), so the derived table is identical

@@ -103,10 +103,10 @@ let locate ?config ?pool ?journal ?resume p ~root_sids =
 let store_line (st : Store.stats) =
   Printf.sprintf
     "store: %d mem + %d disk hits / %d misses (hit rate %.0f%%), %d writes, \
-     %d evictions, %d corrupted"
+     %d corrupted"
     st.Store.hits st.Store.disk_hits st.Store.misses
     (100.0 *. Store.hit_rate st)
-    st.Store.writes st.Store.evictions st.Store.corrupted
+    st.Store.writes st.Store.corrupted
 
 let report_text ~pool info (report : Demand.report) ~root_line =
   let b = Buffer.create 256 in

@@ -129,7 +129,7 @@ let ledger_inst ~info ~trace i =
     occ = inst.Trace.occ;
   }
 
-let create ?obs ?(budget = Interp.default_budget) ?breaker_threshold ?chaos
+let create ?obs ?(budget = Interp.default_budget) ?chaos
     ?store ?ledger ~prog ~input ~expected ~profile_inputs () =
   let obs = match obs with Some o -> o | None -> Obs.create () in
   Obs.with_span obs ~cat:"session" "session.create" @@ fun () ->
@@ -177,7 +177,7 @@ let create ?obs ?(budget = Interp.default_budget) ?breaker_threshold ?chaos
     wrong_output;
     vexp;
     budget;
-    guard = Guard.create ?breaker_threshold ();
+    guard = Guard.create ();
     chaos;
     obs;
     store;

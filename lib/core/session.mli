@@ -93,8 +93,7 @@ val classify_outputs :
     [profile_inputs] drive the value-profile collection runs.  [budget]
     is the step budget of the failing run and of every switched
     re-execution, each of which runs once (the paper's timer).
-    [breaker_threshold] is {!Guard.create}'s; [chaos] injects faults
-    into switched re-executions.
+    [chaos] injects faults into switched re-executions.
     [store] supplies a verdict cache to reuse across sessions (e.g. a
     persistent one); a fresh memory-only store is created when
     omitted.  [obs] supplies the observability context (enable span
@@ -105,7 +104,6 @@ val classify_outputs :
 val create :
   ?obs:Exom_obs.Obs.t ->
   ?budget:int ->
-  ?breaker_threshold:int ->
   ?chaos:Exom_interp.Chaos.t ->
   ?store:Exom_sched.Store.t ->
   ?ledger:Exom_ledger.Ledger.t ->

@@ -274,7 +274,6 @@ let make_checkpoint (s : Session.t) =
         Ledger.st_hits = st.Store.hits;
         st_disk_hits = st.Store.disk_hits;
         st_misses = st.Store.misses;
-        st_evictions = st.Store.evictions;
         st_corrupted = st.Store.corrupted;
         st_writes = st.Store.writes;
       };
@@ -323,7 +322,6 @@ let apply_checkpoint (s : Session.t) (ck : Ledger.checkpoint) =
       Store.hits = st.Ledger.st_hits;
       disk_hits = st.Ledger.st_disk_hits;
       misses = st.Ledger.st_misses;
-      evictions = st.Ledger.st_evictions;
       corrupted = st.Ledger.st_corrupted;
       writes = st.Ledger.st_writes;
     }

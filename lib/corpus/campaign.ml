@@ -176,7 +176,20 @@ let manifest_of_string s =
   let* m_count = int "count" j in
   let* m_family = str "family" j in
   let* m_attempts = int "attempts" j in
-  let* m_triples = list "triples" triple_of_json j in
+  (* a bad field names its triple: a manifest may hold hundreds *)
+  let pos = ref (-1) in
+  let* m_triples =
+    list "triples"
+      (fun t ->
+        incr pos;
+        Result.map_error
+          (fun e ->
+            match str "id" t with
+            | Ok id -> Printf.sprintf "triple %d (%s): %s" !pos id e
+            | Error _ -> Printf.sprintf "triple %d: %s" !pos e)
+          (triple_of_json t))
+      j
+  in
   Ok { m_seed; m_count; m_family; m_attempts; m_triples }
 
 (* Generate-time writes (the manifest) have no degradation tier: a

@@ -72,6 +72,10 @@ val generate :
   manifest
 
 val manifest_to_string : manifest -> string
+
+(** A bad triple field is refused naming the triple's position and id,
+    e.g. [triple 2 (t00002): missing or ill-typed integer array
+    "root_sids"]. *)
 val manifest_of_string : string -> (manifest, string) result
 val write_manifest : string -> manifest -> unit
 val load_manifest : string -> (manifest, string) result
@@ -116,7 +120,7 @@ val ensure_layout : string -> unit
     already holds the canonical ledger is replayed and left in place,
     neither re-journaled nor rewritten.  [pool] is the caller's worker
     pool, reused across triples.  [config] overrides the locator's
-    configuration (e.g. [ranking = None] for a static-order control
+    configuration (e.g. [ranking = false] for a static-order control
     leg). *)
 val run_triple :
   ?config:Exom_core.Demand.config ->

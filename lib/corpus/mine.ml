@@ -1,6 +1,3 @@
-module Json = Exom_obs.Json
-module Rank = Exom_rank.Rank
-
 type bucket = {
   b_key : string;
   b_n : int;
@@ -9,8 +6,6 @@ type bucket = {
   b_failed : int;
   b_mean_iterations : float;
   b_mean_verifications : float;
-  b_mean_verify_queries : float;
-  b_mean_store_hits : float;
 }
 
 type table = {
@@ -47,10 +42,6 @@ let bucket_of key rows =
     b_failed = List.length (List.filter (fun r -> not (ran r)) rows);
     b_mean_iterations = mean (fun r -> Campaign.count r "iterations");
     b_mean_verifications = mean (fun r -> Campaign.count r "verifications");
-    b_mean_verify_queries = mean (fun r -> Campaign.count r "verify_queries");
-    b_mean_store_hits =
-      mean (fun r ->
-          Campaign.count r "store_hits" + Campaign.count r "store_disk_hits");
   }
 
 (* Group rows by a key function; buckets sort by key so the table is
@@ -66,6 +57,21 @@ let group key_of rows =
   |> List.sort (fun (a, _) (b, _) -> compare a b)
   |> List.map (fun (k, rs) -> bucket_of k rs)
 
+let size_key stmts =
+  if stmts <= 10 then "stmts<=10"
+  else if stmts <= 20 then "stmts11-20"
+  else if stmts <= 40 then "stmts21-40"
+  else "stmts>40"
+
+let density_key ~stmts ~predicates =
+  if stmts = 0 then "density0-10"
+  else
+    let d = float_of_int predicates /. float_of_int stmts in
+    if d < 0.10 then "density0-10"
+    else if d < 0.20 then "density10-20"
+    else if d < 0.30 then "density20-30"
+    else "density30+"
+
 let mine rows =
   {
     mi_total = List.length rows;
@@ -76,53 +82,14 @@ let mine rows =
     mi_failed = List.length (List.filter (fun r -> not (ran r)) rows);
     mi_by_class = group (fun r -> r.Campaign.o_class) rows;
     mi_by_family = group (fun r -> r.Campaign.o_family) rows;
-    mi_by_size = group (fun r -> Rank.size_key r.Campaign.o_stmts) rows;
+    mi_by_size = group (fun r -> size_key r.Campaign.o_stmts) rows;
     mi_by_density =
       group
         (fun r ->
-          Rank.density_key ~stmts:r.Campaign.o_stmts
+          density_key ~stmts:r.Campaign.o_stmts
             ~predicates:r.Campaign.o_predicates)
         rows;
   }
-
-(* {2 Codec} *)
-
-let num n = Json.Num (float_of_int n)
-
-(* Means are rounded to 4 decimals before encoding so the document
-   stays readable; the rounding is itself deterministic. *)
-let fnum f = Json.Num (Float.round (f *. 10_000.0) /. 10_000.0)
-
-let bucket_to_json b =
-  Json.Obj
-    [
-      ("key", Json.Str b.b_key);
-      ("n", num b.b_n);
-      ("located", num b.b_located);
-      ("not_located", num b.b_not_located);
-      ("failed", num b.b_failed);
-      ("mean_iterations", fnum b.b_mean_iterations);
-      ("mean_verifications", fnum b.b_mean_verifications);
-      ("mean_verify_queries", fnum b.b_mean_verify_queries);
-      ("mean_store_hits", fnum b.b_mean_store_hits);
-    ]
-
-let table_to_string t =
-  Json.to_string
-    (Json.Obj
-       [
-         ("schema", Json.Str Rank.schema_name);
-         ("version", num Rank.schema_version);
-         ("total", num t.mi_total);
-         ("located", num t.mi_located);
-         ("not_located", num t.mi_not_located);
-         ("failed", num t.mi_failed);
-         ("by_class", Json.Arr (List.map bucket_to_json t.mi_by_class));
-         ("by_family", Json.Arr (List.map bucket_to_json t.mi_by_family));
-         ("by_size", Json.Arr (List.map bucket_to_json t.mi_by_size));
-         ("by_density", Json.Arr (List.map bucket_to_json t.mi_by_density));
-       ])
-  ^ "\n"
 
 let render t =
   let b = Buffer.create 512 in

@@ -1,13 +1,8 @@
-(** The corpus miner: aggregate campaign outcome rows into the feature
-    tables the evidence-driven-ranking work consumes — which execution
-    features (program size, fault class, predicate density) predict
-    diagnosis outcome (located rate, iterations, verification count).
-
-    The output is a single JSON document
-    [{"schema":"exom.corpus.mine","version":1,...}] plus a rendered
-    text summary; both are byte-deterministic functions of the rows.
-    The schema and the size and density bucket keys are
-    {!Exom_rank.Rank}'s, so the ranker reads what this module writes. *)
+(** The corpus miner: aggregate campaign outcome rows into feature
+    tables — which execution features (program size, fault class,
+    predicate density) predict diagnosis outcome (located rate,
+    iterations, verification count).  The rendered tables are a
+    byte-deterministic function of the rows. *)
 
 (** One aggregation bucket. *)
 type bucket = {
@@ -18,8 +13,6 @@ type bucket = {
   b_failed : int;  (** no_failure + error rows *)
   b_mean_iterations : float;  (** over rows that ran *)
   b_mean_verifications : float;
-  b_mean_verify_queries : float;
-  b_mean_store_hits : float;  (** memory + disk tiers *)
 }
 
 type table = {
@@ -34,9 +27,6 @@ type table = {
 }
 
 val mine : Campaign.outcome list -> table
-
-(** The JSON document, newline-terminated. *)
-val table_to_string : table -> string
 
 (** Human-readable summary. *)
 val render : table -> string

@@ -76,7 +76,6 @@ type store_counts = {
   st_hits : int;
   st_disk_hits : int;
   st_misses : int;
-  st_evictions : int;
   st_corrupted : int;
   st_writes : int;
 }
@@ -369,8 +368,8 @@ let event_json = function
       [
         ("ev", Json.Str "checkpoint");
         (* fixed-position arrays keep checkpoint lines compact; guard
-           slots 3, 4 and 8 held counters that no longer exist and stay
-           0, so ledgers keep their bytes *)
+           slots 3, 4 and 8 and store slot 4 held counters that no
+           longer exist and stay 0, so ledgers keep their bytes *)
         ( "guard",
           ints
             [ g.g_completed; g.g_aborted; 0; 0; g.g_breaker_trips;
@@ -390,8 +389,8 @@ let event_json = function
                ck.ck_breakers) );
         ( "store",
           ints
-            [ s.st_hits; s.st_disk_hits; s.st_misses; s.st_evictions;
-              s.st_corrupted; s.st_writes ] );
+            [ s.st_hits; s.st_disk_hits; s.st_misses; 0; s.st_corrupted;
+              s.st_writes ] );
       ]
   | Final f ->
     Json.Obj
@@ -689,10 +688,10 @@ let parse_event j =
     let* s =
       let* s = ints "store" j in
       match s with
-      | [ h; dh; m; e; c; w ] ->
+      | [ h; dh; m; _; c; w ] ->
         Ok
-          { st_hits = h; st_disk_hits = dh; st_misses = m; st_evictions = e;
-            st_corrupted = c; st_writes = w }
+          { st_hits = h; st_disk_hits = dh; st_misses = m; st_corrupted = c;
+            st_writes = w }
       | _ -> Error "checkpoint.store: expected 6 counters"
     in
     Ok

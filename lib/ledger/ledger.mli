@@ -77,7 +77,8 @@ type slice_entry = {
     contract; the cumulative form means the {e last} replayed checkpoint
     alone restores a resumed session.  The guard counters serialize as
     an eight-slot array whose slots 3, 4 and 8 are written as 0 and
-    ignored on read. *)
+    ignored on read, and the store counters as a six-slot array whose
+    slot 4 is. *)
 
 type guard_counts = {
   g_completed : int;
@@ -93,7 +94,6 @@ type store_counts = {
   st_hits : int;
   st_disk_hits : int;
   st_misses : int;
-  st_evictions : int;
   st_corrupted : int;
   st_writes : int;
 }

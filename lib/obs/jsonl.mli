@@ -6,8 +6,8 @@
       ([exom.ledger]), the observability log ([exom.obs]) and the
       campaign's outcome rows ([exom.corpus.outcomes]);
     - {b one JSON document} ({!document}) with both fields at top
-      level — the spine ([exom.spine]), the corpus manifest
-      ([exom.corpus]) and the mined prior ([exom.corpus.mine]).
+      level — the spine ([exom.spine]) and the corpus manifest
+      ([exom.corpus]).
 
     Each codec keeps its own record parser and writer; this module
     checks the framing, locates errors by file line, salvages a torn

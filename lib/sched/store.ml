@@ -1,6 +1,8 @@
 (* The persistent verdict store: a content-addressed cache keyed by a
-   hex digest, with an in-memory LRU front and an optional on-disk tier
-   that any number of processes may share.
+   hex digest, with an in-memory front and an optional on-disk tier
+   that any number of processes may share.  The front is unbounded:
+   every caller opens one handle per localization, so it holds at most
+   one run's verdicts.
 
    Disk layout: one flat directory.
 
@@ -42,35 +44,22 @@ type stats = {
   mutable hits : int;  (* answered from the in-memory front *)
   mutable disk_hits : int;  (* answered from disk (then promoted) *)
   mutable misses : int;
-  mutable evictions : int;  (* LRU entries dropped from memory *)
   mutable corrupted : int;  (* disk entries rejected on read *)
   mutable writes : int;  (* entries persisted to disk *)
 }
 
 let snapshot s =
   { hits = s.hits; disk_hits = s.disk_hits; misses = s.misses;
-    evictions = s.evictions; corrupted = s.corrupted; writes = s.writes }
+    corrupted = s.corrupted; writes = s.writes }
 
 let hit_rate s =
   let total = s.hits + s.disk_hits + s.misses in
   if total = 0 then 0.0
   else float_of_int (s.hits + s.disk_hits) /. float_of_int total
 
-(* Intrusive doubly-linked LRU list over the memory tier: [head] is the
-   most recently used entry, [tail] the eviction candidate. *)
-type entry = {
-  e_key : string;
-  mutable e_value : string;
-  mutable e_prev : entry option;  (* toward head *)
-  mutable e_next : entry option;  (* toward tail *)
-}
-
 type t = {
   root : string option;  (* the disk tier's directory *)
-  capacity : int;
-  tbl : (string, entry) Hashtbl.t;
-  mutable head : entry option;
-  mutable tail : entry option;
+  mem : (string, string) Hashtbl.t;
   stats : stats;
   obs : Exom_obs.Obs.t option;
 }
@@ -85,10 +74,7 @@ let count_obs obs name =
 
 let count t name = count_obs t.obs name
 
-let default_capacity = 65_536
-
 let stats t = t.stats
-let mem_size t = Hashtbl.length t.tbl
 
 (* Content addressing: each part is length-prefixed before hashing so
    part boundaries cannot collide ("ab"+"c" vs "a"+"bc"). *)
@@ -101,51 +87,6 @@ let digest parts =
       Buffer.add_string buf p)
     parts;
   Digest.to_hex (Digest.string (Buffer.contents buf))
-
-(* LRU plumbing *)
-
-let unlink t e =
-  (match e.e_prev with
-  | Some p -> p.e_next <- e.e_next
-  | None -> t.head <- e.e_next);
-  (match e.e_next with
-  | Some n -> n.e_prev <- e.e_prev
-  | None -> t.tail <- e.e_prev);
-  e.e_prev <- None;
-  e.e_next <- None
-
-let push_front t e =
-  e.e_next <- t.head;
-  (match t.head with
-  | Some h -> h.e_prev <- Some e
-  | None -> t.tail <- Some e);
-  t.head <- Some e
-
-let touch t e =
-  if t.head != Some e then begin
-    unlink t e;
-    push_front t e
-  end
-
-let evict_lru t =
-  match t.tail with
-  | None -> ()
-  | Some e ->
-    unlink t e;
-    Hashtbl.remove t.tbl e.e_key;
-    t.stats.evictions <- t.stats.evictions + 1;
-    count t "evictions"
-
-let insert_mem t key value =
-  match Hashtbl.find_opt t.tbl key with
-  | Some e ->
-    e.e_value <- value;
-    touch t e
-  | None ->
-    if Hashtbl.length t.tbl >= t.capacity then evict_lru t;
-    let e = { e_key = key; e_value = value; e_prev = None; e_next = None } in
-    Hashtbl.replace t.tbl key e;
-    push_front t e
 
 (* Disk tier *)
 
@@ -187,17 +128,11 @@ let open_disk ~obs root =
       invalid_arg (Printf.sprintf "Store.create: %s is not a directory" root);
     Some root
 
-let create ?obs ?dir ?(capacity = default_capacity) () =
-  if capacity < 1 then invalid_arg "Store.create: capacity must be >= 1";
+let create ?obs ?dir () =
   {
     root = Option.bind dir (open_disk ~obs);
-    capacity;
-    tbl = Hashtbl.create 256;
-    head = None;
-    tail = None;
-    stats =
-      { hits = 0; disk_hits = 0; misses = 0; evictions = 0; corrupted = 0;
-        writes = 0 };
+    mem = Hashtbl.create 256;
+    stats = { hits = 0; disk_hits = 0; misses = 0; corrupted = 0; writes = 0 };
     obs;
   }
 
@@ -262,18 +197,17 @@ let disk_write t root key value =
 (* Like [find], but reports which tier answered — the ledger records
    whether a verdict came from the memory front or the disk tier. *)
 let find_tier t key =
-  match Hashtbl.find_opt t.tbl key with
-  | Some e ->
+  match Hashtbl.find_opt t.mem key with
+  | Some value ->
     t.stats.hits <- t.stats.hits + 1;
     count t "hits";
-    touch t e;
-    Some (e.e_value, `Mem)
+    Some (value, `Mem)
   | None -> (
     match disk_find t key with
     | Some payload ->
       t.stats.disk_hits <- t.stats.disk_hits + 1;
       count t "disk_hits";
-      insert_mem t key payload;
+      Hashtbl.replace t.mem key payload;
       Some (payload, `Disk)
     | None ->
       t.stats.misses <- t.stats.misses + 1;
@@ -283,7 +217,7 @@ let find_tier t key =
 let find t key = Option.map fst (find_tier t key)
 
 let add t ~key value =
-  insert_mem t key value;
+  Hashtbl.replace t.mem key value;
   match t.root with
   | Some root when disk_write t root key value ->
     t.stats.writes <- t.stats.writes + 1;
@@ -296,7 +230,7 @@ let add t ~key value =
    invisible to the books.  An entry already on disk holds these very
    bytes (content addressing), so it is left alone. *)
 let seed t ~key value =
-  insert_mem t key value;
+  Hashtbl.replace t.mem key value;
   match t.root with
   | Some root when not (Sys.file_exists (Filename.concat root key)) ->
     ignore (disk_write t root key value)
@@ -314,12 +248,10 @@ let restore_stats t (s : stats) =
   bump "hits" d.hits s.hits;
   bump "disk_hits" d.disk_hits s.disk_hits;
   bump "misses" d.misses s.misses;
-  bump "evictions" d.evictions s.evictions;
   bump "corrupted" d.corrupted s.corrupted;
   bump "writes" d.writes s.writes;
   d.hits <- s.hits;
   d.disk_hits <- s.disk_hits;
   d.misses <- s.misses;
-  d.evictions <- s.evictions;
   d.corrupted <- s.corrupted;
   d.writes <- s.writes

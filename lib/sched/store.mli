@@ -1,5 +1,7 @@
-(** A content-addressed cache with an in-memory LRU front and an
-    optional persistent on-disk tier shared safely between processes.
+(** A content-addressed cache with an in-memory front and an optional
+    persistent on-disk tier shared safely between processes.  The
+    front is unbounded: open one handle per localization, and it holds
+    at most that run's verdicts.
 
     Keys are caller-derived digests (see {!digest}); values are opaque
     strings (the caller owns the codec).  The disk tier is one flat
@@ -30,7 +32,6 @@ type stats = {
   mutable hits : int;  (** answered from the in-memory front *)
   mutable disk_hits : int;  (** answered from disk (then promoted) *)
   mutable misses : int;
-  mutable evictions : int;  (** LRU entries dropped from memory *)
   mutable corrupted : int;  (** disk entries rejected on read *)
   mutable writes : int;  (** entries persisted to disk *)
 }
@@ -42,15 +43,14 @@ val snapshot : stats -> stats
 (** Fraction of queries answered from either tier; 0 when none asked. *)
 val hit_rate : stats -> float
 
-(** [create ?obs ?dir ?capacity ()]: memory-only when [dir] is
-    omitted; with [dir], entries also persist under it (created if
-    missing; when it cannot be created, the store runs memory-only and
-    counts ["store.io_failures"]).  [capacity] bounds the in-memory
-    front (default 65536 entries).  With [obs], every stats increment
+(** [create ?obs ?dir ()]: memory-only when [dir] is omitted; with
+    [dir], entries also persist under it (created if missing; when it
+    cannot be created, the store runs memory-only and counts
+    ["store.io_failures"]).  With [obs], every stats increment
     — and every quarantined entry and failed persist — is mirrored live
     into the metrics registry under ["store.<field>"].  Raises
     [Invalid_argument] when [dir] exists but is not a directory. *)
-val create : ?obs:Exom_obs.Obs.t -> ?dir:string -> ?capacity:int -> unit -> t
+val create : ?obs:Exom_obs.Obs.t -> ?dir:string -> unit -> t
 
 (** Derive a content-addressed key: parts are length-prefixed before
     hashing, so boundaries cannot collide. *)
@@ -76,9 +76,6 @@ val seed : t -> key:string -> string -> unit
 (** Overwrite the live counters (and mirror the jumps into the metrics
     registry, like live increments would have). *)
 val restore_stats : t -> stats -> unit
-
-(** Entries currently held in the in-memory front. *)
-val mem_size : t -> int
 
 val stats : t -> stats
 

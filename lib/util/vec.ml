@@ -4,7 +4,7 @@ let create ~dummy = { data = Array.make 16 dummy; len = 0; dummy }
 
 let length t = t.len
 
-let ensure_capacity t n =
+let reserve t n =
   if n > Array.length t.data then begin
     let cap = max n (2 * Array.length t.data) in
     let data = Array.make cap t.dummy in
@@ -13,7 +13,7 @@ let ensure_capacity t n =
   end
 
 let push t x =
-  ensure_capacity t (t.len + 1);
+  reserve t (t.len + 1);
   t.data.(t.len) <- x;
   t.len <- t.len + 1
 

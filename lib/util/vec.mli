@@ -1,6 +1,6 @@
 (** Growable arrays (OCaml 5.1 predates stdlib [Dynarray]).
 
-    The [dummy] element passed at creation fills unused capacity; it is
+    The [dummy] element passed at creation fills unused slots; it is
     never observable through the API. *)
 
 type 'a t

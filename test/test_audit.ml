@@ -16,6 +16,7 @@ module Metrics = Exom_obs.Metrics
 module Spine = Exom_obs.Spine
 module Export = Exom_obs.Export
 module Json = Exom_obs.Json
+module Jsonl = Exom_obs.Jsonl
 module Ledger = Exom_ledger.Ledger
 module Explain = Exom_ledger.Explain
 module Audit = Exom_audit
@@ -271,7 +272,7 @@ let test_lineage_and_replay_story () =
   Alcotest.(check int) "one resume marker in the lineage" 1
     (List.length (Audit.replay_of run));
   Alcotest.(check bool) "torn journal tail recorded" true
-    run.Audit.ledger_torn;
+    (run.Audit.torn <> None);
   (* the audit post-mortem cites the lineage *)
   let t = audit_ok ~legs:[ Audit.Ledger_leg ] (load_ok killed2) run in
   let out = Audit.render t in
@@ -280,7 +281,7 @@ let test_lineage_and_replay_story () =
   Alcotest.(check bool) "resume marker cited" true
     (contains out "resume 1: replayed");
   Alcotest.(check bool) "torn tail cited" true
-    (contains out "journal tail torn and dropped");
+    (contains out "journal torn at line");
   (* and exom explain's narrative names replayed vs re-executed spans *)
   let events = Option.get run.Audit.events in
   let story = Explain.render ~replay:(Audit.replay_of run) events in
@@ -292,6 +293,32 @@ let test_lineage_and_replay_story () =
   let plain = Explain.render events in
   Alcotest.(check bool) "no story without markers" false
     (contains plain "Resume replay")
+
+(* A journal cut mid-line: the lineage section cites the torn line and
+   the byte it starts at, as it does for an obs log. *)
+let test_torn_journal_lineage () =
+  let full = fresh_path () in
+  ignore (traced_run ~jobs:1 full);
+  let content = read_file full in
+  let torn = fresh_path () in
+  write_file torn (String.sub content 0 (String.length content - 9));
+  (* the last line is the torn one: its 1-based number and first byte *)
+  let body = String.sub content 0 (String.length content - 1) in
+  let start = String.rindex body '\n' + 1 in
+  let line =
+    List.length (String.split_on_char '\n' (String.sub body 0 start))
+  in
+  let run = load_ok torn in
+  (match run.Audit.torn with
+  | Some { Jsonl.torn_line; torn_byte } ->
+    Alcotest.(check int) "torn line" line torn_line;
+    Alcotest.(check int) "torn byte" start torn_byte
+  | None -> Alcotest.fail "torn journal tail not recorded");
+  let t = audit_ok ~legs:[ Audit.Ledger_leg ] run (load_ok full) in
+  Alcotest.(check bool) "torn journal cited with line and byte" true
+    (contains (Audit.render t)
+       (Printf.sprintf "journal torn at line %d (byte %d); tail dropped" line
+          start))
 
 let test_torn_obs_log_lineage () =
   let obs = little_obs (fun obs -> span obs "x") in
@@ -332,6 +359,8 @@ let () =
             [
               Alcotest.test_case "resume markers and replay story" `Quick
                 test_lineage_and_replay_story;
+              Alcotest.test_case "torn journal" `Quick
+                test_torn_journal_lineage;
               Alcotest.test_case "torn obs log" `Quick
                 test_torn_obs_log_lineage;
             ] );

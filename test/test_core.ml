@@ -570,12 +570,12 @@ void main() {
    verifier must degrade to NOT_ID, count everything, and let nothing
    escape. *)
 
-let gzip_session_with ?breaker_threshold ?chaos () =
+let gzip_session_with ?chaos () =
   let faulty = compile gzip_faulty in
   let correct = compile gzip_correct in
   let expected = Oracle.expected ~correct_prog:correct ~input:[] in
   let session =
-    Session.create ?breaker_threshold ?chaos ~prog:faulty ~input:[] ~expected
+    Session.create ?chaos ~prog:faulty ~input:[] ~expected
       ~profile_inputs:[ [] ] ()
   in
   (faulty, session)
@@ -621,33 +621,39 @@ let test_chaos_exception_contained () =
     (g.Guard.completed + g.Guard.aborted)
 
 let test_breaker_opens_and_skips () =
-  (* two consecutive aborts of the same static predicate open its
-     breaker; the third verification is skipped without a re-execution *)
-  let prog, session =
-    gzip_session_with ~breaker_threshold:2
-      ~chaos:{ Chaos.seed = 0; fault = Chaos.Raise_at 1 } ()
+  (* 8 consecutive aborts of one static predicate open its breaker; the
+     9th verification is skipped without a run; a completed run resets
+     the streak *)
+  let g = Guard.create () in
+  let crash () = failwith "crash" in
+  let completed = Interp.run (compile "void main() { print(1); }") ~input:[] in
+  let runs = ref 0 in
+  let execute run =
+    Guard.execute g ~sid:1 ~run:(fun () ->
+        incr runs;
+        run ())
   in
-  let t = session.Session.trace in
-  let sid_p = sid_on_line prog l_if_flags in
-  let p = instance_of t ~sid:sid_p ~occ:1 in
-  let u1 = instance_of t ~sid:(sid_on_line prog l_store_flags) ~occ:1 in
-  let u2 = session.Session.wrong_output in
-  let u3 = instance_of t ~sid:(sid_on_line prog 7) ~occ:1 in
-  ignore (Verify.verify session ~p ~u:u1);
-  Alcotest.(check bool) "breaker still closed" false
-    (Guard.breaker_open session.Session.guard ~sid:sid_p);
-  ignore (Verify.verify session ~p ~u:u2);
-  Alcotest.(check bool) "breaker open after threshold" true
-    (Guard.breaker_open session.Session.guard ~sid:sid_p);
-  Alcotest.(check string) "skipped verification is NOT_ID" "NOT_ID"
-    (Verdict.to_string (Verify.verify session ~p ~u:u3));
-  let g = stats_of session in
-  Alcotest.(check int) "one trip" 1 g.Guard.breaker_trips;
-  Alcotest.(check int) "one skip" 1 g.Guard.breaker_skips;
-  (* the skip performed no re-execution *)
-  Alcotest.(check int) "two runs only" 2 (Session.verifications session);
-  Alcotest.(check int) "accounted" (Session.verifications session)
-    (g.Guard.completed + g.Guard.aborted)
+  let abort n = for _ = 1 to n do ignore (execute crash) done in
+  let is_open () = Guard.breaker_open g ~sid:1 in
+  abort 7;
+  (match execute (fun () -> completed) with
+  | Guard.Completed _ -> ()
+  | _ -> Alcotest.fail "a completed run is not Completed");
+  abort 7;
+  Alcotest.(check bool) "a completed run reset the streak" false (is_open ());
+  abort 1;
+  Alcotest.(check bool) "8 consecutive aborts open the breaker" true
+    (is_open ());
+  runs := 0;
+  (match execute (fun () -> completed) with
+  | Guard.Skipped (Guard.Breaker_open 1) -> ()
+  | _ -> Alcotest.fail "the 9th call is not skipped on the breaker");
+  Alcotest.(check int) "the skip performed no run" 0 !runs;
+  let st = Guard.stats g in
+  Alcotest.(check int) "one trip" 1 st.Guard.breaker_trips;
+  Alcotest.(check int) "one skip" 1 st.Guard.breaker_skips;
+  Alcotest.(check int) "every crash is an abort" 15 st.Guard.aborted;
+  Alcotest.(check int) "one completed run" 1 st.Guard.completed
 
 (* One budget: switching the guard sends the program through a loop
    longer than the session's step budget.  The run executes once, and

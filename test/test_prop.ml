@@ -161,16 +161,16 @@ let test_examples_differential () =
         (modes_agree prog [ 2 ]))
     files
 
-(* Ranking is a pure function of (static features, evidence): two
-   scorers built from the same Factory program and fed the same verdict
-   evidence — in any order, since per-predicate cells are independent
-   counters — produce byte-identical scores and plans.  This is the
-   unit-level face of the end-to-end claim that the ranked verification
-   order is invariant across -j and warm/cold stores (test_rank). *)
+(* Ranking is a pure function of the evidence over a program's
+   predicates (the features in the name): two scorers fed the same
+   verdict evidence over a Factory program's predicates — in any
+   order, since per-predicate cells are independent counters — produce
+   byte-identical scores and plans.  This is the unit-level face of
+   the end-to-end claim that the ranked verification order is
+   invariant across -j and warm/cold stores (test_rank). *)
 let prop_ranking_pure =
   QCheck.Test.make ~name:"ranking is pure in (features, evidence)" ~count:60
     arb (fun (prog, input) ->
-      let stmts = Ast.stmt_count prog in
       let preds = ref [] in
       Ast.iter_program
         (fun s -> if Ast.is_predicate s then preds := s.Ast.sid :: !preds)
@@ -187,10 +187,7 @@ let prop_ranking_pure =
           sids
       in
       let mk stream =
-        let t =
-          Rank.create ~stmts ~predicates:(List.length sids)
-            Rank.default_config
-        in
+        let t = Rank.create () in
         List.iter (fun (sid, v) -> Rank.observe t ~sid ~verdict:v) stream;
         t
       in

@@ -1,10 +1,9 @@
-(* The evidence-driven verification ranking (Exom_rank): adversarial
-   model-file rejection, the static-order tie fallback and early-exit
-   policy of the planner, cross-codec compatibility with the corpus
-   miner's tables, and the end-to-end safety and determinism contracts
-   — ranked localization locates everything the static order locates
-   (suite and fixed-seed corpus), and the journaled ranked order is
-   byte-identical across -j1/-j4 and warm/cold stores. *)
+(* The evidence-driven verification ranking (Exom_rank): the
+   static-order tie fallback and early-exit policy of the planner, and
+   the end-to-end safety and determinism contracts — ranked
+   localization locates everything the static order locates (suite and
+   fixed-seed corpus), and the journaled ranked order is byte-identical
+   across -j1/-j4 and warm/cold stores. *)
 
 module B = Exom_bench.Bench_types
 module Suite = Exom_bench.Suite
@@ -16,7 +15,6 @@ module Obs = Exom_obs.Obs
 module Ledger = Exom_ledger.Ledger
 module Rank = Exom_rank.Rank
 module Campaign = Exom_corpus.Campaign
-module Mine = Exom_corpus.Mine
 
 let contains hay needle =
   let nh = String.length hay and nn = String.length needle in
@@ -45,95 +43,10 @@ let with_temp_dir f =
     ~finally:(fun () -> if Sys.file_exists dir then rm_rf dir)
     (fun () -> f dir)
 
-(* {2 Adversarial model files} *)
-
-let valid_table =
-  {|{"schema":"exom.corpus.mine","version":1,"total":10,"located":8,"not_located":2,"failed":0,"by_class":[],"by_family":[],"by_size":[{"key":"stmts<=10","n":5,"located":5,"not_located":0,"failed":0,"mean_iterations":1.0,"mean_verifications":2.0,"mean_verify_queries":2.0,"mean_store_hits":0.0},{"key":"stmts11-20","n":5,"located":1,"not_located":4,"failed":0,"mean_iterations":3.0,"mean_verifications":9.0,"mean_verify_queries":9.0,"mean_store_hits":0.0}],"by_density":[{"key":"density0-10","n":10,"located":8,"not_located":2,"failed":0,"mean_iterations":2.0,"mean_verifications":5.0,"mean_verify_queries":5.0,"mean_store_hits":0.0}]}|}
-
-let expect_error what s =
-  match Rank.model_of_string s with
-  | Ok _ -> Alcotest.fail (what ^ ": accepted")
-  | Error e ->
-    Alcotest.(check bool) (what ^ ": diagnostic is non-empty") true (e <> "")
-
-let test_model_adversarial () =
-  (* the happy path first, so the rejections below mean something *)
-  (match Rank.model_of_string valid_table with
-  | Ok _ -> ()
-  | Error e -> Alcotest.fail ("valid table rejected: " ^ e));
-  expect_error "corrupt JSON" "{oops";
-  expect_error "empty" "";
-  (* a torn tail: the valid document cut mid-object *)
-  expect_error "truncated"
-    (String.sub valid_table 0 (String.length valid_table / 2));
-  (* a well-formed document of someone else's schema *)
-  (match
-     Rank.model_of_string
-       {|{"schema":"exom.bench","version":1,"by_size":[],"by_density":[]}|}
-   with
-  | Ok _ -> Alcotest.fail "foreign schema accepted"
-  | Error e ->
-    Alcotest.(check bool) "error names the schema" true
-      (contains e "exom.bench"));
-  (* a future version of the right schema *)
-  (match
-     Rank.model_of_string
-       {|{"schema":"exom.corpus.mine","version":99,"by_size":[],"by_density":[]}|}
-   with
-  | Ok _ -> Alcotest.fail "version skew accepted"
-  | Error e ->
-    Alcotest.(check bool) "error names the version" true (contains e "99"));
-  (* inconsistent bucket counts: located > n *)
-  expect_error "inconsistent counts"
-    {|{"schema":"exom.corpus.mine","version":1,"by_size":[{"key":"stmts<=10","n":2,"located":5}],"by_density":[]}|};
-  (* a missing file is an Error, never an exception *)
-  match Rank.load_model "/nonexistent/exom/rank/model.json" with
-  | Ok _ -> Alcotest.fail "missing file accepted"
-  | Error _ -> ()
-
-let test_model_mine_compat () =
-  (* a table the real miner wrote parses, and the bucket keys line up:
-     the prior of a small low-density program lands on the mined rates,
-     not the base prior *)
-  let outcome id status stmts predicates =
-    {
-      Campaign.o_id = id;
-      o_class = "flow";
-      o_family = "mixed";
-      o_status = status;
-      o_counts = [];
-      o_stmts = stmts;
-      o_predicates = predicates;
-      o_loc = stmts;
-    }
-  in
-  let rows =
-    [
-      outcome "t1" "located" 8 0;
-      outcome "t2" "located" 9 0;
-      outcome "t3" "not_located" 15 1;
-      outcome "t4" "located" 16 1;
-    ]
-  in
-  let doc = Mine.table_to_string (Mine.mine rows) in
-  match Rank.model_of_string doc with
-  | Error e -> Alcotest.fail ("mined table rejected: " ^ e)
-  | Ok model ->
-    let cfg = { Rank.default_config with Rank.model = Some model } in
-    (* stmts<=10 bucket: 2/2 located; density0-10: 3/4 — prior is the
-       clamped mean (2/2 + 3/4) / 2 = 0.875 *)
-    let t = Rank.create ~stmts:8 ~predicates:0 cfg in
-    Alcotest.(check (float 1e-9)) "prior from mined buckets" 0.875
-      (Rank.prior t);
-    (* an unmatched bucket falls back to the base prior *)
-    let far = Rank.create ~stmts:1000 ~predicates:999 cfg in
-    Alcotest.(check (float 1e-9)) "unmatched features use the base prior"
-      Rank.default_config.Rank.base_prior (Rank.prior far)
-
 (* {2 Planner: ordering, ties, early exit} *)
 
 let test_zero_evidence_is_static_order () =
-  let t = Rank.create Rank.default_config in
+  let t = Rank.create () in
   (* deliberately shuffled idxs: with no evidence every score ties at
      the prior and the plan must come back in ascending idx = the
      paper's static order, everything kept *)
@@ -145,25 +58,27 @@ let test_zero_evidence_is_static_order () =
     (List.for_all (fun d -> d.Rank.d_kept) plan);
   Alcotest.(check bool) "every score is the prior" true
     (List.for_all
-       (fun d -> d.Rank.d_score = Rank.prior t)
+       (fun d -> d.Rank.d_score = Rank.prior)
        plan)
 
 let test_evidence_orders_and_cuts () =
-  let cfg = Rank.default_config in
-  let t = Rank.create cfg in
+  (* the policy's constants: a predicate with at least [min_obs]
+     observations and a score below [cut_threshold] loses its tail *)
+  let min_obs = 6 and cut_threshold = 0.15 in
+  let t = Rank.create () in
   (* sid 1: strong positive evidence; sid 2: a long refuted tail past
      min_obs; sid 3: cold (one observation) *)
   for _ = 1 to 3 do
     Rank.observe t ~sid:1 ~verdict:`Strong_id
   done;
-  for _ = 1 to cfg.Rank.min_obs + 2 do
+  for _ = 1 to min_obs + 2 do
     Rank.observe t ~sid:2 ~verdict:`Not_id
   done;
   Rank.observe t ~sid:3 ~verdict:`Id;
   Alcotest.(check bool) "positive evidence scores above the prior" true
-    (Rank.score t ~sid:1 > Rank.prior t);
+    (Rank.score t ~sid:1 > Rank.prior);
   Alcotest.(check bool) "refuted tail scores below the cut" true
-    (Rank.score t ~sid:2 < cfg.Rank.cut_threshold);
+    (Rank.score t ~sid:2 < cut_threshold);
   let plan =
     Rank.plan t [ (10, 1); (11, 2); (12, 2); (13, 2); (14, 3) ]
   in
@@ -177,8 +92,8 @@ let test_evidence_orders_and_cuts () =
   Alcotest.(check bool) "all of it" false (kept 13).Rank.d_kept;
   Alcotest.(check bool) "cold sids are never cut" true (kept 14).Rank.d_kept;
   (* under min_obs nothing is cut, however low the score *)
-  let cold = Rank.create cfg in
-  for _ = 1 to cfg.Rank.min_obs - 1 do
+  let cold = Rank.create () in
+  for _ = 1 to min_obs - 1 do
     Rank.observe cold ~sid:2 ~verdict:`Not_id
   done;
   let plan = Rank.plan cold [ (11, 2); (12, 2) ] in
@@ -193,7 +108,7 @@ let run_fault ?config ?store ?ledger ~jobs bench fault =
   Pool.shutdown pool;
   r
 
-let static_config = { Demand.default_config with Demand.ranking = None }
+let static_config = { Demand.default_config with Demand.ranking = false }
 
 let test_suite_safety () =
   (* every fault the static order locates, the ranked order locates;
@@ -294,13 +209,6 @@ let test_rank_order_invariant () =
 let () =
   Alcotest.run "rank"
     [
-      ( "model",
-        [
-          Alcotest.test_case "adversarial files rejected" `Quick
-            test_model_adversarial;
-          Alcotest.test_case "miner tables parse" `Quick
-            test_model_mine_compat;
-        ] );
       ( "planner",
         [
           Alcotest.test_case "zero evidence = static order" `Quick

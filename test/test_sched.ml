@@ -1,5 +1,5 @@
 (* Tests for the Exom_sched subsystem: the verdict store (round-trip,
-   LRU, corruption rejection), the domain pool and batch planner, and
+   corruption rejection), the domain pool and batch planner, and
    the scheduler's determinism contract — localization reports are
    bit-identical at -j1 and -j4, and warm-store reruns reproduce the
    cold localization without a single re-execution. *)
@@ -64,24 +64,6 @@ let test_memory_round_trip () =
   Alcotest.(check int) "two hits" 2 st.Store.hits;
   Alcotest.(check int) "one miss" 1 st.Store.misses;
   Alcotest.(check int) "no disk writes without a dir" 0 st.Store.writes
-
-let test_lru_eviction () =
-  let s = Store.create ~capacity:2 () in
-  let k i = Store.digest [ string_of_int i ] in
-  Store.add s ~key:(k 1) "one";
-  Store.add s ~key:(k 2) "two";
-  (* touch 1 so 2 becomes the LRU victim *)
-  ignore (Store.find s (k 1));
-  Store.add s ~key:(k 3) "three";
-  Alcotest.(check int) "capacity respected" 2 (Store.mem_size s);
-  Alcotest.(check (option string))
-    "recently used survives" (Some "one")
-    (Store.find s (k 1));
-  Alcotest.(check (option string)) "LRU evicted" None (Store.find s (k 2));
-  Alcotest.(check (option string))
-    "newcomer present" (Some "three")
-    (Store.find s (k 3));
-  Alcotest.(check int) "one eviction" 1 (Store.stats s).Store.evictions
 
 let test_disk_round_trip () =
   with_temp_dir (fun dir ->
@@ -444,7 +426,6 @@ let () =
         [
           Alcotest.test_case "digest" `Quick test_digest;
           Alcotest.test_case "memory round-trip" `Quick test_memory_round_trip;
-          Alcotest.test_case "LRU eviction" `Quick test_lru_eviction;
           Alcotest.test_case "disk round-trip" `Quick test_disk_round_trip;
           Alcotest.test_case "corrupted entries rejected" `Quick
             test_corrupted_rejected;
